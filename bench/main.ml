@@ -1511,10 +1511,11 @@ let run_section name f =
   try f ()
   with exn ->
     section_failed := true;
-    Printf.eprintf
-      "\nsection %s FAILED: %s\n(reproduce with: main.exe %s --seed %Ld --runs %d)\n"
-      name (Printexc.to_string exn) name (root_seed ())
-      (match !opt_runs with Some r -> r | None -> 0)
+    (* without --runs the section used its own default: leave the flag out
+       so the hint replays that default ([--runs 0] is rejected) *)
+    Printf.eprintf "\nsection %s FAILED: %s\n(reproduce with: main.exe %s --seed %Ld%s)\n" name
+      (Printexc.to_string exn) name (root_seed ())
+      (match !opt_runs with Some r -> Printf.sprintf " --runs %d" r | None -> "")
 
 let () =
   let which = parse_args () in

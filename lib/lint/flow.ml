@@ -177,16 +177,20 @@ let alloc_sinks =
     ("String.init", [ 0 ]); ("Array.make", [ 0 ]); ("Array.init", [ 0 ]);
     ("Array.create_float", [ 0 ]); ("List.init", [ 0 ]); ("Buffer.create", [ 0 ]);
     ("String.sub", [ 2 ]); ("Bytes.sub", [ 2 ]); ("Bytes.sub_string", [ 2 ]);
-    ("Buffer.sub", [ 2 ]); ("Buffer.add_substring", [ 3 ]); ("Bytes.blit", [ 4 ]);
-    ("String.blit", [ 4 ]); ("Bytes.blit_string", [ 4 ]) ]
+    ("Buffer.sub", [ 2 ]); ("Buffer.add_substring", [ 3 ]); ("Buffer.add_subbytes", [ 3 ]);
+    ("Bytes.blit", [ 4 ]); ("String.blit", [ 4 ]); ("Bytes.blit_string", [ 4 ]) ]
 
 (* name -> argument positions used as an index/offset (need lb && ub) *)
 let index_sinks =
   [ ("String.sub", [ 1 ]); ("Bytes.sub", [ 1 ]); ("Bytes.sub_string", [ 1 ]);
-    ("Buffer.sub", [ 1 ]); ("Buffer.add_substring", [ 2 ]); ("Array.get", [ 1 ]);
-    ("Array.set", [ 1 ]); ("Bytes.get", [ 1 ]); ("Bytes.set", [ 1 ]);
-    ("String.get", [ 1 ]); ("Array.unsafe_get", [ 1 ]); ("Bytes.blit", [ 1; 3 ]);
-    ("String.blit", [ 1; 3 ]); ("Bytes.blit_string", [ 1; 3 ]); ("Buffer.truncate", [ 1 ]) ]
+    ("Buffer.sub", [ 1 ]); ("Buffer.add_substring", [ 2 ]); ("Buffer.add_subbytes", [ 2 ]);
+    ("Array.get", [ 1 ]); ("Array.set", [ 1 ]); ("Bytes.get", [ 1 ]); ("Bytes.set", [ 1 ]);
+    ("String.get", [ 1 ]); ("String.unsafe_get", [ 1 ]); ("Bytes.unsafe_get", [ 1 ]);
+    ("Array.unsafe_get", [ 1 ]); ("String.get_uint16_be", [ 1 ]);
+    ("String.get_int32_le", [ 1 ]); ("String.get_int32_be", [ 1 ]);
+    ("Bytes.get_int32_le", [ 1 ]); ("Bytes.set_uint16_be", [ 1 ]);
+    ("Bytes.set_int32_be", [ 1 ]); ("Bytes.blit", [ 1; 3 ]); ("String.blit", [ 1; 3 ]);
+    ("Bytes.blit_string", [ 1; 3 ]); ("Buffer.truncate", [ 1 ]) ]
 
 (* name -> key argument of an attacker-growable table (need ub) *)
 let key_sinks = [ ("Hashtbl.add", [ 1 ]); ("Hashtbl.replace", [ 1 ]) ]
@@ -780,7 +784,12 @@ and eval_call ctx loc name args =
         run_sinks ();
         match name with
         | "String.sub" | "Bytes.sub" | "Bytes.sub_string" -> a0
-        | "String.get" | "Bytes.get" -> with_flags (true, true) a0
+        | "String.get" | "Bytes.get" | "String.unsafe_get" | "Bytes.unsafe_get"
+        | "String.get_uint16_be" ->
+          with_flags (true, true) a0
+        (* a signed 32-bit read is bounded above but may be negative *)
+        | "String.get_int32_le" | "String.get_int32_be" | "Bytes.get_int32_le" ->
+          with_flags (false, true) a0
         | "Array.get" | "Array.unsafe_get" -> a0
         | _ -> [])
       else (

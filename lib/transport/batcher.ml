@@ -70,10 +70,10 @@ let flush_slot t dst ~trigger =
   let sl = t.bt_slots.(dst) in
   if sl.sl_count > 0 then begin
     let frame =
-      Bufpool.with_buf t.bt_pool (fun body ->
-          Batch.make_body_into body ~inner_codec_id:t.bt_inner ~count:sl.sl_count sl.sl_buf;
-          Wire.encode_raw ~codec_id:Batch.codec_id ~sender:t.bt_net.Transport.me
-            (Buffer.contents body))
+      Bufpool.with_buf t.bt_pool (fun buf ->
+          Wire.open_frame buf;
+          Batch.make_body_into buf ~inner_codec_id:t.bt_inner ~count:sl.sl_count sl.sl_buf;
+          Wire.seal_frame buf ~codec_id:Batch.codec_id ~sender:t.bt_net.Transport.me)
     in
     let st = t.bt_stats in
     st.batches <- st.batches + 1;

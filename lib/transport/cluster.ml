@@ -1618,9 +1618,9 @@ let rnode_make ?on_commit ?(hop_s = 0.) params ~me ~(net : Transport.t) () =
   rnode_emits rn init;
   rn
 
-let rnode_apply rn (f : Wire.frame) =
-  (match Wire.decode_body rsm_wire f with
-  | Ok m -> rnode_emits rn (Rsm.handle rn.r_rsm ~from:f.Wire.sender m)
+let rnode_apply rn (v : Wire.view) =
+  (match Wire.decode_body_view rsm_wire v with
+  | Ok m -> rnode_emits rn (Rsm.handle rn.r_rsm ~from:v.Wire.v_sender m)
   | Error _ -> rn.r_net.Transport.stats.drops <- rn.r_net.Transport.stats.drops + 1);
   rnode_drain rn
 
@@ -1629,9 +1629,9 @@ let rnode_apply rn (f : Wire.frame) =
 let rnode_step rn ~timeout_s =
   rnode_send_due rn;
   rnode_drain rn;
-  match rn.r_net.Transport.recv ~timeout_s with
-  | Some f ->
-    rnode_apply rn f;
+  match rn.r_net.Transport.recv_view ~timeout_s with
+  | Some v ->
+    rnode_apply rn v;
     true
   | None -> false
 
@@ -1669,12 +1669,12 @@ let run_rsm_node ?(timeout_s = 30.) ?(linger_s = 1.0) params ~txs ~(net : Transp
   List.iter (fun tx -> ignore (Rsm.submit rn.r_rsm tx : bool)) txs;
   let byes = Array.make n false in
   let bye_count = ref 0 in
-  let deliver (f : Wire.frame) =
-    if f.Wire.codec_id = ctrl_codec_id then begin
-      let p = f.Wire.sender in
+  let deliver (v : Wire.view) =
+    if v.Wire.v_codec_id = ctrl_codec_id then begin
+      let p = v.Wire.v_sender in
       if p < 0 || p >= n || p = me then net.Transport.stats.drops <- net.Transport.stats.drops + 1
       else
-        match decode_ctrl f with
+        match decode_ctrl (Wire.frame_of_view v) with
         | Some `Bye ->
           if not byes.(p) then begin
             byes.(p) <- true;
@@ -1684,7 +1684,7 @@ let run_rsm_node ?(timeout_s = 30.) ?(linger_s = 1.0) params ~txs ~(net : Transp
         | Some `Hello -> ()
         | None -> net.Transport.stats.drops <- net.Transport.stats.drops + 1
     end
-    else rnode_apply rn f
+    else rnode_apply rn v
   in
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec loop () =
@@ -1694,9 +1694,9 @@ let run_rsm_node ?(timeout_s = 30.) ?(linger_s = 1.0) params ~txs ~(net : Transp
       loop ()
     end
     else
-      match net.Transport.recv ~timeout_s:0.05 with
-      | Some f ->
-        deliver f;
+      match net.Transport.recv_view ~timeout_s:0.05 with
+      | Some v ->
+        deliver v;
         loop ()
       | None ->
         if Unix.gettimeofday () >= deadline then
@@ -1720,8 +1720,8 @@ let run_rsm_node ?(timeout_s = 30.) ?(linger_s = 1.0) params ~txs ~(net : Transp
     let rec linger () =
       let now = Unix.gettimeofday () in
       if now < linger_until && !bye_count < n - 1 then begin
-        (match net.Transport.recv ~timeout_s:(Float.min 0.05 (linger_until -. now)) with
-        | Some f -> deliver f
+        (match net.Transport.recv_view ~timeout_s:(Float.min 0.05 (linger_until -. now)) with
+        | Some v -> deliver v
         | None -> ());
         linger ()
       end

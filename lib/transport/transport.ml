@@ -359,7 +359,7 @@ module Socket = struct
     match Unix.read c.c_fd s.s_read_buf 0 cap with
     | 0 -> drop_conn s c ~op:"close"
     | k ->
-      Wire.Reader.feed c.c_reader (Bytes.sub_string s.s_read_buf 0 k) ~pos:0 ~len:k;
+      Wire.Reader.feed c.c_reader s.s_read_buf ~pos:0 ~len:k;
       drain_reader s c
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> drop_conn s c ~op:"close"

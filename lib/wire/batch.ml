@@ -27,15 +27,13 @@ let make_body_into out ~inner_codec_id ~count records =
   Wire.Put.varint out count;
   Buffer.add_buffer out records
 
-let make_body ~inner_codec_id ~count records =
-  let out = Buffer.create (4 + Buffer.length records) in
-  make_body_into out ~inner_codec_id ~count records;
-  Buffer.contents out
-
 let encode ~inner_codec_id ~sender records =
   let rb = Buffer.create 64 in
   List.iter (fun (instance, body) -> add_record rb ~instance body) records;
-  Wire.encode_raw ~codec_id ~sender (make_body ~inner_codec_id ~count:(List.length records) rb)
+  let out = Buffer.create (Wire.header_bytes + 4 + Buffer.length rb) in
+  Wire.open_frame out;
+  make_body_into out ~inner_codec_id ~count:(List.length records) rb;
+  Wire.seal_frame out ~codec_id ~sender
 
 let iter_view (v : Wire.view) ~record =
   if v.Wire.v_codec_id <> codec_id then

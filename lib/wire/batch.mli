@@ -46,8 +46,6 @@ val make_body_into : Buffer.t -> inner_codec_id:int -> count:int -> Buffer.t -> 
     Raises [Invalid_argument] on [count < 1] or an inner id that is out of
     range or {!codec_id} itself (builder bugs, not input conditions). *)
 
-val make_body : inner_codec_id:int -> count:int -> Buffer.t -> string
-
 val encode : inner_codec_id:int -> sender:int -> (int * string) list -> string
 (** A complete batch frame from (instance, body) pairs - the convenience
     the tests and small callers use. *)

@@ -14,27 +14,57 @@ let magic1 = '\xA1'
 
 (* ---- CRC-32 (IEEE 802.3, reflected) -------------------------------- *)
 
+(* Slicing-by-8: [crc_table] holds eight 256-entry tables back to back,
+   as native ints in [0, 2^32).  Entry [k*256 + b] is the CRC register
+   after byte [b] followed by [k] zero bytes, so eight table lookups fold
+   eight input bytes at once.  Row 0 is the classic bytewise table. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref (Int32.of_int i) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  let t = Array.make (8 * 256) 0 in
+  for b = 0 to 255 do
+    let c = ref b in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(b) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+  done;
+  t
+
+(* CRC of [b.[pos .. pos+len-1]]; the caller has checked the slice.  Reads
+   [Bytes] so the frame sealer can hash a body inside the buffer it is
+   about to patch; [crc32] lends its string read-only. *)
+let crc_bytes b ~pos ~len =
+  let t = crc_table in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = !c lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      Array.unsafe_get t ((7 * 256) + (lo land 0xFF))
+      lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
+      lxor Array.unsafe_get t ((3 * 256) + (hi land 0xFF))
+      lxor Array.unsafe_get t ((2 * 256) + ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  let stop = pos + len in
+  while !i < stop do
+    c := Array.unsafe_get t ((!c lxor Char.code (Bytes.get b !i)) land 0xFF) lxor (!c lsr 8);
+    incr i
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let crc32 s ~pos ~len =
   if not (Bca_util.Bounds.slice_ok ~pos ~len (String.length s)) then
     invalid_arg "Wire.crc32: slice out of bounds";
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
+  crc_bytes (Bytes.unsafe_of_string s) ~pos ~len
 
 (* ---- body primitives ----------------------------------------------- *)
 
@@ -197,33 +227,48 @@ let pp_error ppf = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-let encode_raw ~codec_id ~sender body =
+(* Every encoder lays out the whole frame in one buffer - header slot
+   first, then the body - and patches the header into the final [Bytes.t]
+   once the body length and CRC are known, so the body is copied once. *)
+let set_header b ~codec_id ~sender ~crc =
   if not (Bca_util.Bounds.fits ~max:max_sender sender) then
     invalid_arg "Wire.encode: sender out of range";
   if not (Bca_util.Bounds.fits ~max:0xFF codec_id) then
     invalid_arg "Wire.encode: codec id out of range";
-  let len = String.length body in
-  let buf = Buffer.create (header_bytes + len) in
-  Buffer.add_char buf magic0;
-  Buffer.add_char buf magic1;
-  Put.u8 buf version;
-  Put.u8 buf codec_id;
-  Put.u16 buf sender;
-  Put.u32 buf len;
-  let crc = crc32 body ~pos:0 ~len in
-  Put.u32 buf (Int32.to_int (Int32.logand crc 0xFFFFFFFFl) land 0xFFFFFFFF);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  Bytes.set b 0 magic0;
+  Bytes.set b 1 magic1;
+  Bytes.set b 2 (Char.chr version);
+  Bytes.set b 3 (Char.chr codec_id);
+  Bytes.set_uint16_be b 4 sender;
+  Bytes.set_int32_be b 6 (Int32.of_int (Bytes.length b - header_bytes));
+  Bytes.set_int32_be b 10 crc
 
-let encode codec ~sender m =
-  let body = Buffer.create 32 in
-  codec.enc body m;
-  encode_raw ~codec_id:codec.id ~sender (Buffer.contents body)
+let header_slot = String.make header_bytes '\000'
+
+let open_frame buf =
+  Buffer.clear buf;
+  Buffer.add_string buf header_slot
+
+let seal_frame buf ~codec_id ~sender =
+  let len = Buffer.length buf - header_bytes in
+  if len < 0 then invalid_arg "Wire.seal_frame: no open frame";
+  let b = Buffer.to_bytes buf in
+  set_header b ~codec_id ~sender ~crc:(crc_bytes b ~pos:header_bytes ~len);
+  Bytes.unsafe_to_string b
+
+let encode_raw ~codec_id ~sender body =
+  let len = String.length body in
+  let b = Bytes.create (header_bytes + len) in
+  Bytes.blit_string body 0 b header_bytes len;
+  set_header b ~codec_id ~sender ~crc:(crc32 body ~pos:0 ~len);
+  Bytes.unsafe_to_string b
 
 let encode_buf codec ~sender ~scratch m =
-  Buffer.clear scratch;
+  open_frame scratch;
   codec.enc scratch m;
-  encode_raw ~codec_id:codec.id ~sender (Buffer.contents scratch)
+  seal_frame scratch ~codec_id:codec.id ~sender
+
+let encode codec ~sender m = encode_buf codec ~sender ~scratch:(Buffer.create 64) m
 
 (* Header parse shared by the one-shot decoder and the stream reader.
    [have] is how many bytes are available from [pos]; the caller guarantees
@@ -343,10 +388,10 @@ module Reader = struct
   let create ?(max_body = default_max_body) () =
     { max_body; buf = Buffer.create 4096; off = 0; snap = ""; snap_stale = false; poison = None }
 
-  let feed t s ~pos ~len =
-    if not (Bca_util.Bounds.slice_ok ~pos ~len (String.length s)) then
+  let feed t b ~pos ~len =
+    if not (Bca_util.Bounds.slice_ok ~pos ~len (Bytes.length b)) then
       invalid_arg "Wire.Reader.feed: slice out of bounds";
-    Buffer.add_substring t.buf s pos len;
+    Buffer.add_subbytes t.buf b pos len;
     if len > 0 then t.snap_stale <- true
 
   let buffered t = Buffer.length t.buf - t.off

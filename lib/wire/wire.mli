@@ -158,21 +158,33 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val crc32 : string -> pos:int -> len:int -> int32
-(** CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of a slice. *)
+(** CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of a slice.
+    Slicing-by-8: eight bytes per step through one flat 8x256 table. *)
 
 val encode : 'm codec -> sender:int -> 'm -> string
 (** One complete frame.  Raises [Invalid_argument] if [sender] is outside
     [0..max_sender] (an encoder bug, not an input condition). *)
 
 val encode_buf : 'm codec -> sender:int -> scratch:Buffer.t -> 'm -> string
-(** {!encode} staging the body in a caller-owned [scratch] buffer (cleared
+(** {!encode} staging the frame in a caller-owned [scratch] buffer (cleared
     first) instead of allocating a fresh one per message - the pooled
-    encode of the transport hot path.  Same bytes as {!encode}. *)
+    encode of the transport hot path.  Same bytes as {!encode}; the result
+    is a fresh string, independent of later uses of [scratch]. *)
 
 val encode_raw : codec_id:int -> sender:int -> string -> string
 (** Frame an already-encoded body - used by tests to build adversarial
-    frames with arbitrary contents, and by the batch path to frame an
-    assembled batch body. *)
+    frames with arbitrary contents, and by the control plane. *)
+
+val open_frame : Buffer.t -> unit
+(** Clear the buffer and reserve a {!header_bytes} header slot; append the
+    body after it, then {!seal_frame}.  How the batcher frames a batch body
+    in place. *)
+
+val seal_frame : Buffer.t -> codec_id:int -> sender:int -> string
+(** The frame opened by {!open_frame}: one copy of the buffer, with the
+    header (length and CRC of everything after the slot) patched in place.
+    Same bytes as {!encode_raw} of the body.  Raises [Invalid_argument] if
+    the buffer is shorter than a header, or on a bad [sender]/[codec_id]. *)
 
 val decode_frame : ?max_body:int -> string -> pos:int -> (frame * int, error) result
 (** Parse one frame starting at [pos]; on success also returns the number
@@ -231,7 +243,10 @@ module Reader : sig
 
   val create : ?max_body:int -> unit -> t
 
-  val feed : t -> string -> pos:int -> len:int -> unit
+  val feed : t -> Bytes.t -> pos:int -> len:int -> unit
+  (** Append [len] bytes of the chunk starting at [pos].  The bytes are
+      copied, so the caller may reuse the chunk (the transport's read
+      buffer) right away. *)
 
   val next : t -> (frame option, error) result
   (** [Ok None] = need more bytes; [Ok (Some f)] = one frame extracted;

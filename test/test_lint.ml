@@ -437,6 +437,70 @@ let test_flow_index_clean () =
     \  if n < 0 then failwith \"negative\";\n\
     \  for i = 0 to n do ignore i done\n"
 
+(* Fixed-width and unchecked byte accessors are index sinks like
+   [String.get]; [Buffer.add_subbytes] is an offset and a length sink
+   like [Buffer.add_substring].  One bad/good line per catalog entry. *)
+let byte_sink_uses =
+  [ ("wire-taint", "String.get_int32_le s i");
+    ("wire-taint", "String.get_int32_be s i");
+    ("wire-taint", "String.get_uint16_be s i");
+    ("wire-taint", "Bytes.get_int32_le b i");
+    ("wire-taint", "Bytes.set_int32_be b i 0l");
+    ("wire-taint", "Bytes.set_uint16_be b i 0");
+    ("wire-taint", "String.unsafe_get s i");
+    ("wire-taint", "Bytes.unsafe_get b i");
+    ("wire-taint", "Buffer.add_subbytes buf b i 4");
+    ("unbounded-alloc", "Buffer.add_subbytes buf b 0 i") ]
+
+let byte_sink_fixture ~guarded use =
+  Printf.sprintf
+    "let touch buf s b t =\n\
+    \  let i = Get.i64 t in\n\
+    \  %signore (%s)\n"
+    (if guarded then "if Bounds.slice_ok ~pos:i ~len:4 (Bytes.length b) then " else "")
+    use
+
+let test_flow_byte_sinks_flag () =
+  List.iter
+    (fun (rule, use) ->
+      check_flow_flags ~rule ~subpath:"lib/core/x.ml" (byte_sink_fixture ~guarded:false use))
+    byte_sink_uses
+
+let test_flow_byte_sinks_clean () =
+  List.iter
+    (fun (rule, use) ->
+      check_flow_clean ~rule ~subpath:"lib/core/x.ml" (byte_sink_fixture ~guarded:true use))
+    byte_sink_uses
+
+(* The CRC kernel's shape: an unguarded worker reading eight bytes per
+   step, reached from a decoded offset.  The finding traces through the
+   entry point into the worker; the entry point's [Bounds.slice_ok]
+   guard is what keeps the real [Wire.crc32] clean. *)
+let kernel_fixture ~guarded =
+  Printf.sprintf
+    "let update b ~pos ~len =\n\
+    \  let c = ref 0 and i = ref pos in\n\
+    \  while !i < pos + len do\n\
+    \    c := !c lxor Int32.to_int (Bytes.get_int32_le b !i);\n\
+    \    i := !i + 8\n\
+    \  done;\n\
+    \  !c\n\
+     let crc s ~pos ~len =\n\
+    \  %supdate (Bytes.unsafe_of_string s) ~pos ~len\n\
+     let check t s = crc s ~pos:(Get.i64 t) ~len:8\n"
+    (if guarded then "if not (Bounds.slice_ok ~pos ~len (String.length s)) then invalid_arg \"crc\";\n  "
+     else "")
+
+let test_flow_kernel_shape () =
+  let report = lint_fixture_flow [ ("lib/core/kernel.ml", kernel_fixture ~guarded:false) ] in
+  (match List.find_opt (fun (f : Lint.finding) -> String.equal f.rule "wire-taint") report.findings with
+  | None -> Alcotest.fail "unguarded kernel offset not flagged"
+  | Some f ->
+    let note affix = List.exists (fun n -> contains n affix) f.notes in
+    Alcotest.(check bool) "trace passes through the entry point" true (note "Kernel.crc");
+    Alcotest.(check bool) "trace ends at the word read" true (note "sink Bytes.get_int32_le"));
+  check_flow_clean ~rule:"wire-taint" ~subpath:"lib/core/kernel.ml" (kernel_fixture ~guarded:true)
+
 let dec_use_fixture =
   [ ("lib/core/dec.ml", "let parse t = Get.i64 t\n");
     ("lib/core/use.ml", "let go arr t = Array.get arr (Dec.parse t)\n") ]
@@ -625,6 +689,9 @@ let () =
           Alcotest.test_case "fixed varint is clean" `Quick test_flow_varint_fixed;
           Alcotest.test_case "flags index/key/loop sinks" `Quick test_flow_index_flags;
           Alcotest.test_case "passes guarded sinks" `Quick test_flow_index_clean;
+          Alcotest.test_case "flags byte accessor sinks" `Quick test_flow_byte_sinks_flag;
+          Alcotest.test_case "passes guarded byte accessors" `Quick test_flow_byte_sinks_clean;
+          Alcotest.test_case "crc kernel shape" `Quick test_flow_kernel_shape;
           Alcotest.test_case "cross-file propagation" `Quick test_flow_cross_file;
           Alcotest.test_case "call graph" `Quick test_flow_call_graph;
           Alcotest.test_case "trace reporters" `Quick test_flow_reporters;

@@ -163,7 +163,7 @@ let decode_everything s =
   | Error (_ : W.error) -> ());
   ignore (W.decode Wf.byz_strong s : (_, W.error) result);
   let r = W.Reader.create () in
-  W.Reader.feed r s ~pos:0 ~len:(String.length s);
+  W.Reader.feed r (Bytes.of_string s) ~pos:0 ~len:(String.length s);
   let rec drain () =
     match W.Reader.next r with
     | Ok (Some _) -> drain ()
@@ -460,12 +460,12 @@ let test_batch_nested () =
   check_malformed "nested batch inner id"
     (raw_batch ~inner:B.codec_id ~count:1 (record ~instance:0 "x"));
   (* the builder refuses to construct one, and rejects empty batches *)
-  (match B.make_body ~inner_codec_id:B.codec_id ~count:1 (Buffer.create 0) with
+  (match B.make_body_into (Buffer.create 8) ~inner_codec_id:B.codec_id ~count:1 (Buffer.create 0) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "make_body accepted a nested batch id");
-  match B.make_body ~inner_codec_id:Wf.byz_strong.W.id ~count:0 (Buffer.create 0) with
+  | () -> Alcotest.fail "make_body_into accepted a nested batch id");
+  match B.make_body_into (Buffer.create 8) ~inner_codec_id:Wf.byz_strong.W.id ~count:0 (Buffer.create 0) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "make_body accepted count=0"
+  | () -> Alcotest.fail "make_body_into accepted count=0"
 
 let test_batch_inflated_count () =
   check_malformed "count exceeds records"
@@ -543,7 +543,9 @@ let batch_tests =
 (* ------------------------------------------------------------------ *)
 
 (* Concatenated frames split at arbitrary chunk boundaries reassemble to
-   the same frame sequence. *)
+   the same frame sequence.  Each chunk goes through one reused [Bytes.t]
+   that is scribbled over right after [feed], as the socket read buffer
+   is, so the reader must have copied what it keeps. *)
 let prop_reader_chunking =
   Test.make ~count:200 ~name:"Reader reassembly is split-point independent"
     (Gen.pair (Gen.list_size (Gen.int_range 1 8) gen_byz_weak) (Gen.int_range 1 13))
@@ -564,10 +566,14 @@ let prop_reader_chunking =
         in
         go ()
       in
+      let read_buf = Bytes.make 16 '\xAA' in
       let pos = ref 0 in
       while !pos < String.length stream do
         let len = min chunk (String.length stream - !pos) in
-        W.Reader.feed r stream ~pos:!pos ~len;
+        let at = !pos mod 3 in
+        Bytes.blit_string stream !pos read_buf at len;
+        W.Reader.feed r read_buf ~pos:at ~len;
+        Bytes.fill read_buf 0 (Bytes.length read_buf) '\xAA';
         pos := !pos + len;
         drain ()
       done;
@@ -589,16 +595,165 @@ let test_reader_poisoned () =
   let good = W.encode Wf.byz_strong ~sender:1 (Byz_strong.Committed Value.V0) in
   let bad = patch good 12 (Char.chr (Char.code good.[12] lxor 1)) in
   let r = W.Reader.create () in
-  W.Reader.feed r bad ~pos:0 ~len:(String.length bad);
+  W.Reader.feed r (Bytes.of_string bad) ~pos:0 ~len:(String.length bad);
   (match W.Reader.next r with
   | Error (W.Bad_crc _) -> ()
   | Error e -> Alcotest.failf "expected Bad_crc, got %s" (W.error_to_string e)
   | Ok _ -> Alcotest.fail "corrupt frame extracted");
   (* sticky: even after feeding a pristine frame the reader stays dead *)
-  W.Reader.feed r good ~pos:0 ~len:(String.length good);
+  W.Reader.feed r (Bytes.of_string good) ~pos:0 ~len:(String.length good);
   match W.Reader.next r with
   | Error (_ : W.error) -> ()
   | Ok _ -> Alcotest.fail "poisoned reader recovered"
+
+(* ------------------------------------------------------------------ *)
+(* CRC-32 kernel                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The bytewise Int32 table loop the slicing-by-8 kernel replaced, kept
+   here as the differential reference. *)
+let ref_table =
+  Array.init 256 (fun i ->
+      let c = ref (Int32.of_int i) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let ref_crc32 s ~pos ~len =
+  let c = ref 0xFFFFFFFFl in
+  for i = pos to pos + len - 1 do
+    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl) in
+    c := Int32.logxor ref_table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let check_crc what s ~pos ~len =
+  let want = ref_crc32 s ~pos ~len and got = W.crc32 s ~pos ~len in
+  if not (Int32.equal want got) then
+    Alcotest.failf "%s (pos %d, len %d): kernel %08lx, reference %08lx" what pos len got want
+
+let test_crc_known_answer () =
+  Alcotest.(check int32) "check value" 0xCBF43926l (W.crc32 "123456789" ~pos:0 ~len:9);
+  Alcotest.(check int32) "empty string" 0l (W.crc32 "" ~pos:0 ~len:0);
+  Alcotest.(check int32) "empty slice mid-string" 0l (W.crc32 "123456789" ~pos:5 ~len:0);
+  Alcotest.(check int32) "slice" (W.crc32 "123456789" ~pos:0 ~len:9)
+    (W.crc32 "xx123456789yyy" ~pos:2 ~len:9)
+
+(* Every length 0-64 at every start offset 0-7: each split between the
+   eight-byte body and the bytewise tail, at each alignment. *)
+let test_crc_tail_and_alignment () =
+  let rng = Random.State.make [| 0xC3C |] in
+  let s = String.init 80 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      check_crc "exhaustive" s ~pos ~len
+    done
+  done;
+  check_crc "all-ones" (String.make 64 '\xFF') ~pos:0 ~len:64
+
+let prop_crc_differential =
+  Test.make ~count:300 ~name:"crc32 matches the bytewise reference on random slices"
+    Gen.(
+      string_size ~gen:(char_range '\x00' '\xff') (int_bound 4096) >>= fun s ->
+      let n = String.length s in
+      int_bound n >>= fun pos ->
+      int_bound (n - pos) >|= fun len -> (s, pos, len))
+    (fun (s, pos, len) ->
+      Int32.equal (W.crc32 s ~pos ~len) (ref_crc32 s ~pos ~len))
+
+let test_crc_bounds () =
+  List.iter
+    (fun (pos, len) ->
+      match W.crc32 "abcd" ~pos ~len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "slice (pos %d, len %d) of 4 bytes accepted" pos len)
+    [ (-1, 1); (0, 5); (3, 2); (0, -1); (5, 0) ]
+
+let crc_tests =
+  [ Alcotest.test_case "known answer and empty slice" `Quick test_crc_known_answer;
+    Alcotest.test_case "every tail length at every alignment" `Quick test_crc_tail_and_alignment;
+    QCheck_alcotest.to_alcotest prop_crc_differential;
+    Alcotest.test_case "out-of-range slices rejected" `Quick test_crc_bounds ]
+
+(* ------------------------------------------------------------------ *)
+(* Golden frames                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact on-wire bytes, captured before the encoders were rewritten to
+   seal frames in one copy: any drift in framing, header patching or the
+   CRC shows up here as a hex diff. *)
+
+module Transport = Bca_transport.Transport
+module Batcher = Bca_transport.Batcher
+module Wal = Bca_recovery.Wal
+
+let hex s = String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let golden_m1 = Byz_strong.Bca (300, Bca_core.Bca_byz.MEcho3 (Types.Val Value.V1))
+let golden_m2 = Byz_strong.Committed Value.V0
+let golden_encode = "bca101030002000000043fabd75803ac0202"
+let golden_encode_buf = "bca1010302010000000241d912ff0000"
+
+let test_golden_encode () =
+  Alcotest.(check string) "encode" golden_encode (hex (W.encode Wf.byz_strong ~sender:2 golden_m1));
+  Alcotest.(check string) "encode_buf" golden_encode_buf
+    (hex (W.encode_buf Wf.byz_strong ~sender:513 ~scratch:(Buffer.create 8) golden_m2));
+  Alcotest.(check string) "encode_raw"
+    "bca10107000100000012cc5b09817365616c656420696e206f6e6520636f7079"
+    (hex (W.encode_raw ~codec_id:7 ~sender:1 "sealed in one copy"))
+
+(* The sealer hands out a fresh string: reusing the scratch for the next
+   frame must not reach back into the previous result. *)
+let test_encode_buf_independent () =
+  let scratch = Buffer.create 8 in
+  let first = W.encode_buf Wf.byz_strong ~sender:2 ~scratch golden_m1 in
+  let second = W.encode_buf Wf.byz_strong ~sender:513 ~scratch golden_m2 in
+  Alcotest.(check string) "first frame unchanged" golden_encode (hex first);
+  Alcotest.(check string) "second frame" golden_encode_buf (hex second);
+  match W.seal_frame (Buffer.create 4) ~codec_id:7 ~sender:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "sealed a buffer with no header slot"
+
+let test_golden_batch () =
+  let sent = ref [] in
+  let net =
+    { Transport.me = 1;
+      n = 3;
+      kind = "capture";
+      send = (fun ~dst s -> sent := (dst, s) :: !sent);
+      recv = (fun ~timeout_s:_ -> None);
+      recv_view = (fun ~timeout_s:_ -> None);
+      flush = (fun ~timeout_s:_ -> true);
+      close = (fun () -> ());
+      stats = Transport.stats_zero () }
+  in
+  let bat = Batcher.create ~inner_codec_id:Wf.byz_strong.W.id net in
+  Batcher.send bat ~dst:2 ~instance:0 ~enc:(fun b -> Wf.byz_strong.W.enc b golden_m1);
+  Batcher.send bat ~dst:2 ~instance:130 ~enc:(fun b -> Wf.byz_strong.W.enc b golden_m2);
+  Batcher.flush bat;
+  match !sent with
+  | [ (2, s) ] ->
+    Alcotest.(check string) "batch frame" "bca101b700010000000e7a88e447010302000403ac02028201020000"
+      (hex s);
+    Alcotest.(check string) "Batch.encode agrees" (hex s)
+      (hex
+         (B.encode ~inner_codec_id:Wf.byz_strong.W.id ~sender:1
+            [ (0, body_of Wf.byz_strong golden_m1); (130, body_of Wf.byz_strong golden_m2) ]))
+  | l -> Alcotest.failf "expected one batch frame to pid 2, got %d sends" (List.length l)
+
+let test_golden_wal () =
+  let b = Buffer.create 64 in
+  Wal.encode_record b (Wal.Sent { dst = 3; frame = W.encode Wf.byz_strong ~sender:2 golden_m1 });
+  Alcotest.(check string) "wal record" ("030000001329f37f0703" ^ golden_encode) (hex (Buffer.contents b))
+
+let golden_tests =
+  [ Alcotest.test_case "encode, encode_buf, encode_raw bytes" `Quick test_golden_encode;
+    Alcotest.test_case "encode_buf results independent of scratch" `Quick test_encode_buf_independent;
+    Alcotest.test_case "batcher batch frame bytes" `Quick test_golden_batch;
+    Alcotest.test_case "wal record bytes" `Quick test_golden_wal ]
 
 let test_codec_ids_distinct () =
   let ids =
@@ -636,4 +791,6 @@ let () =
       ( "reader",
         List.map QCheck_alcotest.to_alcotest [ prop_reader_chunking ]
         @ [ Alcotest.test_case "poisoned reader stays poisoned" `Quick test_reader_poisoned;
-            Alcotest.test_case "codec ids distinct" `Quick test_codec_ids_distinct ] ) ]
+            Alcotest.test_case "codec ids distinct" `Quick test_codec_ids_distinct ] );
+      ("crc", crc_tests);
+      ("golden", golden_tests) ]
