@@ -16,7 +16,7 @@ module Coin = Bca_coin.Coin
 module Async = Bca_netsim.Async_exec
 module Node = Bca_netsim.Node
 module Faults = Bca_adversary.Faults
-module Stack = Bca_core.Aa_strong.Make (Bca_core.Bca_crash)
+module Stack = Bca_core.Aba.Crash_strong_stack
 
 let () =
   let n = 7 and t = 3 in

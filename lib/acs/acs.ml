@@ -2,7 +2,7 @@ module Value = Bca_util.Value
 module Coin = Bca_coin.Coin
 module Types = Bca_core.Types
 module Bracha = Bca_baselines.Bracha
-module Aba_slot = Bca_core.Aa_strong.Make (Bca_core.Bca_byz)
+module Aba_slot = Bca_core.Aba.Byz_strong_stack
 
 type payload = string
 

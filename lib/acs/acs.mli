@@ -21,7 +21,7 @@
     replayed - an extra network delay, which asynchrony permits. *)
 
 module Types = Bca_core.Types
-module Aba_slot : module type of Bca_core.Aa_strong.Make (Bca_core.Bca_byz)
+module Aba_slot = Bca_core.Aba.Byz_strong_stack
 
 type payload = string
 

@@ -2,7 +2,8 @@
     Appendix G.2 (Theorem 6.2: expected 9 broadcasts with a strong
     2t-unpredictable coin and a threshold-signature setup).
 
-    Two differences from {!Aa_strong}:
+    Its own loop rather than an {!Aa.Make} instance, with two differences
+    from {!Aa.Strong}:
 
     - a party that decided [val] while the coin disagreed enters the next
       round through [Carry], skipping the echo round (optimization 1);

@@ -4,11 +4,13 @@ module Coin = Bca_coin.Coin
 module Threshold = Bca_crypto.Threshold
 module Async = Bca_netsim.Async_exec
 
-module Crash_strong_stack = Aa_strong.Make (Bca_crash)
-module Crash_weak_stack = Aa_weak.Make (Gbca_crash)
-module Byz_strong_stack = Aa_strong.Make (Bca_byz)
-module Byz_weak_stack = Aa_weak.Make (Gbca_byz)
-module Byz_tsig_stack = Aa_strong.Make (Bca_tsig)
+module Crash_strong_stack = Aa.Make (Aa.Strong (Bca_crash))
+module Crash_weak_stack = Aa.Make (Aa.Graded (Gbca_crash))
+module Byz_strong_stack = Aa.Make (Aa.Strong (Bca_byz))
+module Byz_weak_stack = Aa.Make (Aa.Graded (Gbca_byz))
+module Byz_tsig_stack = Aa.Make (Aa.Strong (Bca_tsig))
+module Byz_ev_stack = Aa.Make (Aa.Ev)
+module Byz_ev_fresh_stack = Aa.Make (Aa.Ev_fresh)
 
 type spec =
   | Crash_strong
@@ -47,8 +49,7 @@ type result = {
 }
 
 (* One party as a generic runner sees it: protocol state accessors over the
-   erased stack type.  The six stacks only differ in how this view is
-   constructed. *)
+   erased stack type. *)
 type party = {
   committed : unit -> Value.t option;
   commit_round : unit -> int option;
@@ -59,13 +60,6 @@ type party = {
 type 'r driver = {
   drive :
     'm. coin:Bca_coin.Coin.t -> wire:'m Bca_wire.Wire.codec -> 'm Async.t -> party array -> 'r;
-}
-
-(* Internal construction view: the party plus its node and initial sends. *)
-type 'm party_view = {
-  v_node : 'm Bca_netsim.Node.t;
-  v_initial : 'm list;
-  v_party : party;
 }
 
 type 'm built = {
@@ -82,6 +76,14 @@ type 'r spec_handler = {
     'r;
 }
 
+(* A stack as [with_spec] assembles it: an [Aa.Make] instance and the wire
+   codec of its message type. *)
+module type STACK = sig
+  include Aa.S
+
+  val wire : msg Bca_wire.Wire.codec
+end
+
 (* The six-way match is done once; everything seed-dependent (coin,
    threshold keys, per-party state) lives behind [mk_instance], so a
    handler can assemble any number of independent instances of the same
@@ -91,121 +93,66 @@ let with_spec (type r) ?(tracer = Bca_obs.Trace.null) spec ~cfg ~(handler : r sp
     (r, string) Stdlib.result =
   let n = cfg.Types.n in
   let degree = default_coin_degree spec ~t:cfg.Types.t in
-  let assemble (type m) ~(wire : m Bca_wire.Wire.codec)
-      ~(mk_coin : seed:int64 -> Coin.t)
-      (mk_parties :
-        coin:Coin.t -> seed:int64 -> inputs:Value.t array -> Types.pid -> m party_view) : r =
+  let mode = spec_mode spec in
+  let kind =
+    match spec with
+    | Crash_strong | Byz_strong | Byz_tsig -> Coin.Strong
+    | Crash_weak eps | Byz_weak eps -> Coin.Eps eps
+    | Crash_local -> Coin.Local
+  in
+  (* [bca_params ~seed] runs once per instance (the threshold-key setup),
+     then gives each party its per-round instance parameters. *)
+  let assemble (type p) (module S : STACK with type inst_params = p)
+      (bca_params : seed:int64 -> Types.pid -> round:int -> p) : r =
     let mk_instance ~seed ~inputs =
       if Array.length inputs <> n then invalid_arg "inputs must have length n";
-      let coin = mk_coin ~seed:(Int64.add seed 0x5EEDL) in
+      let coin = Coin.create kind ~n ~degree ~seed:(Int64.add seed 0x5EEDL) in
       if Bca_obs.Trace.enabled tracer then
         Coin.set_observer coin (fun ~round ~pid value ->
             Bca_obs.Trace.emit tracer (Bca_obs.Event.Coin_reveal { pid; round; value }));
-      let parties = Array.init n (mk_parties ~coin ~seed ~inputs) in
+      let party_params = bca_params ~seed in
+      let parties =
+        Array.init n (fun pid ->
+            S.create
+              { S.cfg; mode; coin; bca_params = party_params pid }
+              ~me:pid ~input:inputs.(pid))
+      in
       let exec =
         Async.create_traced ~tracer ~n ~make:(fun pid ->
-            let p = parties.(pid) in
-            (p.v_node, List.map (fun m -> Bca_netsim.Node.Broadcast m) p.v_initial))
+            let t, initial = parties.(pid) in
+            (S.node t, List.map (fun m -> Bca_netsim.Node.Broadcast m) initial))
       in
-      { b_coin = coin; b_exec = exec; b_parties = Array.map (fun p -> p.v_party) parties }
+      let party (t, _) =
+        { committed = (fun () -> S.committed t);
+          commit_round = (fun () -> S.commit_round t);
+          round = (fun () -> S.current_round t);
+          phase = (fun () -> S.current_phase t) }
+      in
+      { b_coin = coin; b_exec = exec; b_parties = Array.map party parties }
     in
-    handler.handle ~wire ~mk_instance
+    handler.handle ~wire:S.wire ~mk_instance
+  in
+  let same_cfg ~seed:_ _ ~round:_ = cfg in
+  let keyed ~seed =
+    let setup, keys = Threshold.setup ~n ~seed:(Int64.add seed 0xC4F7L) in
+    fun pid ~round -> { Bca_tsig.cfg; setup; key = keys.(pid); id = Printf.sprintf "aba/%d" round }
   in
   try
-    match spec with
-    | Crash_strong ->
-      Types.check_crash_resilience cfg;
-      Ok
-        (assemble ~wire:Wirefmt.crash_strong
-           ~mk_coin:(fun ~seed -> Coin.create Coin.Strong ~n ~degree ~seed)
-           (fun ~coin ~seed:_ ~inputs pid ->
-             let params =
-               { Crash_strong_stack.cfg; mode = `Crash; coin; bca_params = (fun ~round:_ -> cfg) }
-             in
-             let t, initial = Crash_strong_stack.create params ~me:pid ~input:inputs.(pid) in
-             { v_node = Crash_strong_stack.node t;
-               v_initial = initial;
-               v_party =
-                 { committed = (fun () -> Crash_strong_stack.committed t);
-                   commit_round = (fun () -> Crash_strong_stack.commit_round t);
-                   round = (fun () -> Crash_strong_stack.current_round t);
-                   phase = (fun () -> Crash_strong_stack.current_phase t) } }))
-    | Crash_weak _ | Crash_local ->
-      Types.check_crash_resilience cfg;
-      let kind =
-        match spec with
-        | Crash_weak eps -> Coin.Eps eps
-        | _ -> Coin.Local
-      in
-      Ok
-        (assemble ~wire:Wirefmt.crash_weak
-           ~mk_coin:(fun ~seed -> Coin.create kind ~n ~degree ~seed)
-           (fun ~coin ~seed:_ ~inputs pid ->
-             let params =
-               { Crash_weak_stack.cfg; mode = `Crash; coin; bca_params = (fun ~round:_ -> cfg) }
-             in
-             let t, initial = Crash_weak_stack.create params ~me:pid ~input:inputs.(pid) in
-             { v_node = Crash_weak_stack.node t;
-               v_initial = initial;
-               v_party =
-                 { committed = (fun () -> Crash_weak_stack.committed t);
-                   commit_round = (fun () -> Crash_weak_stack.commit_round t);
-                   round = (fun () -> Crash_weak_stack.current_round t);
-                   phase = (fun () -> Crash_weak_stack.current_phase t) } }))
-    | Byz_strong ->
-      Types.check_byz_resilience cfg;
-      Ok
-        (assemble ~wire:Wirefmt.byz_strong
-           ~mk_coin:(fun ~seed -> Coin.create Coin.Strong ~n ~degree ~seed)
-           (fun ~coin ~seed:_ ~inputs pid ->
-             let params =
-               { Byz_strong_stack.cfg; mode = `Byz; coin; bca_params = (fun ~round:_ -> cfg) }
-             in
-             let t, initial = Byz_strong_stack.create params ~me:pid ~input:inputs.(pid) in
-             { v_node = Byz_strong_stack.node t;
-               v_initial = initial;
-               v_party =
-                 { committed = (fun () -> Byz_strong_stack.committed t);
-                   commit_round = (fun () -> Byz_strong_stack.commit_round t);
-                   round = (fun () -> Byz_strong_stack.current_round t);
-                   phase = (fun () -> Byz_strong_stack.current_phase t) } }))
-    | Byz_weak eps ->
-      Types.check_byz_resilience cfg;
-      Ok
-        (assemble ~wire:Wirefmt.byz_weak
-           ~mk_coin:(fun ~seed -> Coin.create (Coin.Eps eps) ~n ~degree ~seed)
-           (fun ~coin ~seed:_ ~inputs pid ->
-             let params =
-               { Byz_weak_stack.cfg; mode = `Byz; coin; bca_params = (fun ~round:_ -> cfg) }
-             in
-             let t, initial = Byz_weak_stack.create params ~me:pid ~input:inputs.(pid) in
-             { v_node = Byz_weak_stack.node t;
-               v_initial = initial;
-               v_party =
-                 { committed = (fun () -> Byz_weak_stack.committed t);
-                   commit_round = (fun () -> Byz_weak_stack.commit_round t);
-                   round = (fun () -> Byz_weak_stack.current_round t);
-                   phase = (fun () -> Byz_weak_stack.current_phase t) } }))
-    | Byz_tsig ->
-      Types.check_byz_resilience cfg;
-      Ok
-        (assemble ~wire:Wirefmt.byz_tsig
-           ~mk_coin:(fun ~seed -> Coin.create Coin.Strong ~n ~degree ~seed)
-           (fun ~coin ~seed ~inputs ->
-             let setup, keys = Threshold.setup ~n ~seed:(Int64.add seed 0xC4F7L) in
-             fun pid ->
-               let bca_params ~round =
-                 { Bca_tsig.cfg; setup; key = keys.(pid); id = Printf.sprintf "aba/%d" round }
-               in
-               let params = { Byz_tsig_stack.cfg; mode = `Byz; coin; bca_params } in
-               let t, initial = Byz_tsig_stack.create params ~me:pid ~input:inputs.(pid) in
-               { v_node = Byz_tsig_stack.node t;
-                 v_initial = initial;
-                 v_party =
-                   { committed = (fun () -> Byz_tsig_stack.committed t);
-                     commit_round = (fun () -> Byz_tsig_stack.commit_round t);
-                     round = (fun () -> Byz_tsig_stack.current_round t);
-                     phase = (fun () -> Byz_tsig_stack.current_phase t) } }))
+    (match mode with
+    | `Crash -> Types.check_crash_resilience cfg
+    | `Byz -> Types.check_byz_resilience cfg);
+    Ok
+      (match spec with
+      | Crash_strong ->
+        assemble (module struct include Crash_strong_stack let wire = Wirefmt.crash_strong end) same_cfg
+      | Crash_weak _ | Crash_local ->
+        assemble (module struct include Crash_weak_stack let wire = Wirefmt.crash_weak end) same_cfg
+      | Byz_strong ->
+        assemble (module struct include Byz_strong_stack let wire = Wirefmt.byz_strong end) same_cfg
+      | Byz_weak _ ->
+        assemble (module struct include Byz_weak_stack let wire = Wirefmt.byz_weak end) same_cfg
+      | Byz_tsig ->
+        assemble (module struct include Byz_tsig_stack let wire = Wirefmt.byz_tsig end) keyed)
   with Invalid_argument msg -> Error msg
 
 let run_custom (type r) ?(seed = 0xB0CA1L) ?(tracer = Bca_obs.Trace.null) spec ~cfg ~inputs

@@ -8,20 +8,27 @@
 
     For adversarial schedules, faulty parties, lockstep round accounting, or
     driving the protocols message by message, use the underlying modules
-    directly ({!Aa_strong}, {!Aa_weak}, the BCA implementations, and
+    directly ({!Aa}, the BCA implementations, and
     [Bca_netsim]); the [bca_adversary] and [bca_experiments] libraries show how. *)
 
 (** The assembled stacks, exposed for callers that need message-level
     access (tracing, custom fault injection, adversaries). *)
-module Crash_strong_stack : module type of Aa_strong.Make (Bca_crash)
+module Crash_strong_stack : module type of Aa.Make (Aa.Strong (Bca_crash))
 
-module Crash_weak_stack : module type of Aa_weak.Make (Gbca_crash)
+module Crash_weak_stack : module type of Aa.Make (Aa.Graded (Gbca_crash))
 
-module Byz_strong_stack : module type of Aa_strong.Make (Bca_byz)
+module Byz_strong_stack : module type of Aa.Make (Aa.Strong (Bca_byz))
 
-module Byz_weak_stack : module type of Aa_weak.Make (Gbca_byz)
+module Byz_weak_stack : module type of Aa.Make (Aa.Graded (Gbca_byz))
 
-module Byz_tsig_stack : module type of Aa_strong.Make (Bca_tsig)
+module Byz_tsig_stack : module type of Aa.Make (Aa.Strong (Bca_tsig))
+
+(** Appendix G.1's AA-1/2-EVBCA-Byz (no {!spec}: it is measured by the
+    Table 2 and ablation harnesses), and its fresh-round ablation
+    baseline. *)
+module Byz_ev_stack : module type of Aa.Make (Aa.Ev)
+
+module Byz_ev_fresh_stack : module type of Aa.Make (Aa.Ev_fresh)
 
 (** The pre-assembled protocol stacks (see the paper's Table 1 and 2 rows). *)
 type spec =

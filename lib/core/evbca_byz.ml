@@ -125,6 +125,13 @@ let handle t ~from msg =
 
 let decision t = t.decision
 
+let phase t =
+  if t.decision <> None then "decide"
+  else if t.echo3_sent <> None then "echo3"
+  else if t.sent_echo2 then "echo2"
+  else if t.my_echoes <> [] then "echo"
+  else "init"
+
 let approved t = t.approved
 
 let echo3_sent t = t.echo3_sent

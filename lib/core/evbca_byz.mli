@@ -16,7 +16,7 @@
     The price is validity: a round can legitimately decide a value no honest
     party input this round, as long as the value is {e externally valid}
     (Definition G.2) - it was the previous coin and could have been adopted.
-    {!Aa_ev} supplies the per-round context; on round 1 ({!fresh}) the
+    {!Aa.Ev} supplies the per-round context; on round 1 ({!fresh}) the
     protocol is exactly Algorithm 4. *)
 
 type msg =
@@ -48,6 +48,9 @@ val start : t -> input:Bca_util.Value.t -> ctx:start_ctx -> msg list
 val handle : t -> from:Types.pid -> msg -> msg list
 
 val decision : t -> Types.cvalue option
+
+val phase : t -> string
+(** The phase label of [Bca_intf.BCA.phase], on Algorithm 4's ladder. *)
 
 val approved : t -> Bca_util.Value.t list
 

@@ -6,11 +6,11 @@ module Threshold = Bca_crypto.Threshold
 
 (* The same functor applications Aba exposes; OCaml's applicative functor
    paths make these message types equal to the stack types by construction. *)
-module Crash_strong = Aa_strong.Make (Bca_crash)
-module Crash_weak = Aa_weak.Make (Gbca_crash)
-module Byz_strong = Aa_strong.Make (Bca_byz)
-module Byz_weak = Aa_weak.Make (Gbca_byz)
-module Byz_tsig = Aa_strong.Make (Bca_tsig)
+module Crash_strong = Aa.Make (Aa.Strong (Bca_crash))
+module Crash_weak = Aa.Make (Aa.Graded (Gbca_crash))
+module Byz_strong = Aa.Make (Aa.Strong (Bca_byz))
+module Byz_weak = Aa.Make (Aa.Graded (Gbca_byz))
+module Byz_tsig = Aa.Make (Aa.Strong (Bca_tsig))
 
 let malformed fmt = Printf.ksprintf (fun msg -> raise (Get.Malformed msg)) fmt
 
@@ -66,198 +66,127 @@ let get_list g ~min_item_bytes get_item =
 
 (* ---- per-stack codecs ---------------------------------------------- *)
 
-(* Body grammar: [tag:u8] then, for round-scoped BCA messages,
-   [round:varint] and the constructor fields.  Tag 0 is always the
-   termination-layer [Committed] message. *)
+(* Body grammar, written once for every [Aa.Make] stack: tag 0 is the
+   termination-layer [Committed v]; tags 1..[tags] are [Bca (r, m)] as
+   [tag:u8][r:varint][fields], where [tag m] and the fields are the inner
+   (G)BCA message's.  [get tag g] reads the fields of a tag in range. *)
+module Framed (A : Aa.S) = struct
+  let codec ~id ~name ~tags ~tag ~put ~get : A.msg Wire.codec =
+    { Wire.id;
+      name;
+      enc =
+        (fun buf -> function
+          | A.Committed v ->
+            Put.u8 buf 0;
+            Put.value buf v
+          | A.Bca (r, m) ->
+            Put.u8 buf (tag m);
+            Put.varint buf r;
+            put buf m);
+      dec =
+        (fun g ->
+          match Get.u8 g with
+          | 0 -> A.Committed (Get.value g)
+          | t when t <= tags ->
+            let r = Get.varint g in
+            A.Bca (r, get t g)
+          | t -> malformed "unknown %s tag %d" name t) }
+end
 
-let crash_strong : Crash_strong.msg Wire.codec =
-  { Wire.id = 1;
-    name = "crash-strong";
-    enc =
-      (fun buf -> function
-        | Crash_strong.Committed v ->
-          Put.u8 buf 0;
-          Put.value buf v
-        | Crash_strong.Bca (r, Bca_crash.MVal v) ->
+let crash_strong =
+  let module F = Framed (Crash_strong) in
+  F.codec ~id:1 ~name:"crash-strong" ~tags:2
+    ~tag:(function Bca_crash.MVal _ -> 1 | Bca_crash.MEcho _ -> 2)
+    ~put:(fun buf -> function
+      | Bca_crash.MVal v -> Put.value buf v
+      | Bca_crash.MEcho cv -> put_cvalue buf cv)
+    ~get:(fun tag g ->
+      if tag = 1 then Bca_crash.MVal (Get.value g) else Bca_crash.MEcho (get_cvalue g))
+
+let crash_weak =
+  let module F = Framed (Crash_weak) in
+  F.codec ~id:2 ~name:"crash-weak" ~tags:3
+    ~tag:(function Gbca_crash.MVal _ -> 1 | Gbca_crash.MEcho _ -> 2 | Gbca_crash.MEcho2 _ -> 3)
+    ~put:(fun buf -> function
+      | Gbca_crash.MVal v -> Put.value buf v
+      | Gbca_crash.MEcho cv | Gbca_crash.MEcho2 cv -> put_cvalue buf cv)
+    ~get:(fun tag g ->
+      match tag with
+      | 1 -> Gbca_crash.MVal (Get.value g)
+      | 2 -> Gbca_crash.MEcho (get_cvalue g)
+      | _ -> Gbca_crash.MEcho2 (get_cvalue g))
+
+let byz_strong =
+  let module F = Framed (Byz_strong) in
+  F.codec ~id:3 ~name:"byz-strong" ~tags:3
+    ~tag:(function Bca_byz.MEcho _ -> 1 | Bca_byz.MEcho2 _ -> 2 | Bca_byz.MEcho3 _ -> 3)
+    ~put:(fun buf -> function
+      | Bca_byz.MEcho v | Bca_byz.MEcho2 v -> Put.value buf v
+      | Bca_byz.MEcho3 cv -> put_cvalue buf cv)
+    ~get:(fun tag g ->
+      match tag with
+      | 1 -> Bca_byz.MEcho (Get.value g)
+      | 2 -> Bca_byz.MEcho2 (Get.value g)
+      | _ -> Bca_byz.MEcho3 (get_cvalue g))
+
+let byz_weak =
+  let module F = Framed (Byz_weak) in
+  F.codec ~id:4 ~name:"byz-weak" ~tags:5
+    ~tag:(function
+      | Gbca_byz.MEcho _ -> 1
+      | Gbca_byz.MEcho2 _ -> 2
+      | Gbca_byz.MEcho3 _ -> 3
+      | Gbca_byz.MEcho4 _ -> 4
+      | Gbca_byz.MEcho5 _ -> 5)
+    ~put:(fun buf -> function
+      | Gbca_byz.MEcho v | Gbca_byz.MEcho2 v -> Put.value buf v
+      | Gbca_byz.MEcho3 cv | Gbca_byz.MEcho4 cv | Gbca_byz.MEcho5 cv -> put_cvalue buf cv)
+    ~get:(fun tag g ->
+      match tag with
+      | 1 -> Gbca_byz.MEcho (Get.value g)
+      | 2 -> Gbca_byz.MEcho2 (Get.value g)
+      | 3 -> Gbca_byz.MEcho3 (get_cvalue g)
+      | 4 -> Gbca_byz.MEcho4 (get_cvalue g)
+      | _ -> Gbca_byz.MEcho5 (get_cvalue g))
+
+let byz_tsig =
+  let module F = Framed (Byz_tsig) in
+  F.codec ~id:5 ~name:"byz-tsig" ~tags:3
+    ~tag:(function Bca_tsig.MEcho _ -> 1 | Bca_tsig.MEcho2 _ -> 2 | Bca_tsig.MEcho3 _ -> 3)
+    ~put:(fun buf -> function
+      | Bca_tsig.MEcho (v, share) ->
+        Put.value buf v;
+        put_share buf share
+      | Bca_tsig.MEcho2 (v, cert) ->
+        Put.value buf v;
+        put_signature buf cert
+      | Bca_tsig.MEcho3 (cv, certs, share_opt) -> (
+        put_cvalue buf cv;
+        Put.varint buf (List.length certs);
+        List.iter (put_signature buf) certs;
+        match share_opt with
+        | None -> Put.u8 buf 0
+        | Some s ->
           Put.u8 buf 1;
-          Put.varint buf r;
-          Put.value buf v
-        | Crash_strong.Bca (r, Bca_crash.MEcho cv) ->
-          Put.u8 buf 2;
-          Put.varint buf r;
-          put_cvalue buf cv);
-    dec =
-      (fun g ->
-        match Get.u8 g with
-        | 0 -> Crash_strong.Committed (Get.value g)
-        | 1 ->
-          let r = Get.varint g in
-          Crash_strong.Bca (r, Bca_crash.MVal (Get.value g))
-        | 2 ->
-          let r = Get.varint g in
-          Crash_strong.Bca (r, Bca_crash.MEcho (get_cvalue g))
-        | t -> malformed "unknown crash-strong tag %d" t) }
-
-let crash_weak : Crash_weak.msg Wire.codec =
-  { Wire.id = 2;
-    name = "crash-weak";
-    enc =
-      (fun buf -> function
-        | Crash_weak.Committed v ->
-          Put.u8 buf 0;
-          Put.value buf v
-        | Crash_weak.Gbca (r, Gbca_crash.MVal v) ->
-          Put.u8 buf 1;
-          Put.varint buf r;
-          Put.value buf v
-        | Crash_weak.Gbca (r, Gbca_crash.MEcho cv) ->
-          Put.u8 buf 2;
-          Put.varint buf r;
-          put_cvalue buf cv
-        | Crash_weak.Gbca (r, Gbca_crash.MEcho2 cv) ->
-          Put.u8 buf 3;
-          Put.varint buf r;
-          put_cvalue buf cv);
-    dec =
-      (fun g ->
-        match Get.u8 g with
-        | 0 -> Crash_weak.Committed (Get.value g)
-        | 1 ->
-          let r = Get.varint g in
-          Crash_weak.Gbca (r, Gbca_crash.MVal (Get.value g))
-        | 2 ->
-          let r = Get.varint g in
-          Crash_weak.Gbca (r, Gbca_crash.MEcho (get_cvalue g))
-        | 3 ->
-          let r = Get.varint g in
-          Crash_weak.Gbca (r, Gbca_crash.MEcho2 (get_cvalue g))
-        | t -> malformed "unknown crash-weak tag %d" t) }
-
-let byz_strong : Byz_strong.msg Wire.codec =
-  { Wire.id = 3;
-    name = "byz-strong";
-    enc =
-      (fun buf -> function
-        | Byz_strong.Committed v ->
-          Put.u8 buf 0;
-          Put.value buf v
-        | Byz_strong.Bca (r, Bca_byz.MEcho v) ->
-          Put.u8 buf 1;
-          Put.varint buf r;
-          Put.value buf v
-        | Byz_strong.Bca (r, Bca_byz.MEcho2 v) ->
-          Put.u8 buf 2;
-          Put.varint buf r;
-          Put.value buf v
-        | Byz_strong.Bca (r, Bca_byz.MEcho3 cv) ->
-          Put.u8 buf 3;
-          Put.varint buf r;
-          put_cvalue buf cv);
-    dec =
-      (fun g ->
-        match Get.u8 g with
-        | 0 -> Byz_strong.Committed (Get.value g)
-        | 1 ->
-          let r = Get.varint g in
-          Byz_strong.Bca (r, Bca_byz.MEcho (Get.value g))
-        | 2 ->
-          let r = Get.varint g in
-          Byz_strong.Bca (r, Bca_byz.MEcho2 (Get.value g))
-        | 3 ->
-          let r = Get.varint g in
-          Byz_strong.Bca (r, Bca_byz.MEcho3 (get_cvalue g))
-        | t -> malformed "unknown byz-strong tag %d" t) }
-
-let byz_weak : Byz_weak.msg Wire.codec =
-  { Wire.id = 4;
-    name = "byz-weak";
-    enc =
-      (fun buf -> function
-        | Byz_weak.Committed v ->
-          Put.u8 buf 0;
-          Put.value buf v
-        | Byz_weak.Gbca (r, m) ->
-          let tag, put =
-            match m with
-            | Gbca_byz.MEcho v -> (1, fun () -> Put.value buf v)
-            | Gbca_byz.MEcho2 v -> (2, fun () -> Put.value buf v)
-            | Gbca_byz.MEcho3 cv -> (3, fun () -> put_cvalue buf cv)
-            | Gbca_byz.MEcho4 cv -> (4, fun () -> put_cvalue buf cv)
-            | Gbca_byz.MEcho5 cv -> (5, fun () -> put_cvalue buf cv)
-          in
-          Put.u8 buf tag;
-          Put.varint buf r;
-          put ());
-    dec =
-      (fun g ->
-        match Get.u8 g with
-        | 0 -> Byz_weak.Committed (Get.value g)
-        | (1 | 2 | 3 | 4 | 5) as tag ->
-          let r = Get.varint g in
-          let m =
-            match tag with
-            | 1 -> Gbca_byz.MEcho (Get.value g)
-            | 2 -> Gbca_byz.MEcho2 (Get.value g)
-            | 3 -> Gbca_byz.MEcho3 (get_cvalue g)
-            | 4 -> Gbca_byz.MEcho4 (get_cvalue g)
-            | _ -> Gbca_byz.MEcho5 (get_cvalue g)
-          in
-          Byz_weak.Gbca (r, m)
-        | t -> malformed "unknown byz-weak tag %d" t) }
-
-let byz_tsig : Byz_tsig.msg Wire.codec =
-  { Wire.id = 5;
-    name = "byz-tsig";
-    enc =
-      (fun buf -> function
-        | Byz_tsig.Committed v ->
-          Put.u8 buf 0;
-          Put.value buf v
-        | Byz_tsig.Bca (r, Bca_tsig.MEcho (v, share)) ->
-          Put.u8 buf 1;
-          Put.varint buf r;
-          Put.value buf v;
-          put_share buf share
-        | Byz_tsig.Bca (r, Bca_tsig.MEcho2 (v, cert)) ->
-          Put.u8 buf 2;
-          Put.varint buf r;
-          Put.value buf v;
-          put_signature buf cert
-        | Byz_tsig.Bca (r, Bca_tsig.MEcho3 (cv, certs, share_opt)) ->
-          Put.u8 buf 3;
-          Put.varint buf r;
-          put_cvalue buf cv;
-          Put.varint buf (List.length certs);
-          List.iter (put_signature buf) certs;
-          (match share_opt with
-          | None -> Put.u8 buf 0
-          | Some s ->
-            Put.u8 buf 1;
-            put_share buf s));
-    dec =
-      (fun g ->
-        match Get.u8 g with
-        | 0 -> Byz_tsig.Committed (Get.value g)
-        | 1 ->
-          let r = Get.varint g in
-          let v = Get.value g in
-          Byz_tsig.Bca (r, Bca_tsig.MEcho (v, get_share g))
-        | 2 ->
-          let r = Get.varint g in
-          let v = Get.value g in
-          Byz_tsig.Bca (r, Bca_tsig.MEcho2 (v, get_signature g))
-        | 3 ->
-          let r = Get.varint g in
-          let cv = get_cvalue g in
-          let certs = get_list g ~min_item_bytes:10 get_signature in
-          let share_opt =
-            match Get.u8 g with
-            | 0 -> None
-            | 1 -> Some (get_share g)
-            | b -> malformed "invalid option byte %d" b
-          in
-          Byz_tsig.Bca (r, Bca_tsig.MEcho3 (cv, certs, share_opt))
-        | t -> malformed "unknown byz-tsig tag %d" t) }
+          put_share buf s))
+    ~get:(fun tag g ->
+      match tag with
+      | 1 ->
+        let v = Get.value g in
+        Bca_tsig.MEcho (v, get_share g)
+      | 2 ->
+        let v = Get.value g in
+        Bca_tsig.MEcho2 (v, get_signature g)
+      | _ ->
+        let cv = get_cvalue g in
+        let certs = get_list g ~min_item_bytes:10 get_signature in
+        let share_opt =
+          match Get.u8 g with
+          | 0 -> None
+          | 1 -> Some (get_share g)
+          | b -> malformed "invalid option byte %d" b
+        in
+        Bca_tsig.MEcho3 (cv, certs, share_opt))
 
 let coin_share : Bca_coin.Threshold_coin.share Wire.codec =
   { Wire.id = 6;

@@ -3,9 +3,9 @@ module Types = Bca_core.Types
 module Coin = Bca_coin.Coin
 module Lockstep = Bca_netsim.Lockstep
 module Node = Bca_netsim.Node
-module Aa_ev = Bca_core.Aa_ev
-module Stack_plain = Bca_core.Aa_strong.Make (Bca_core.Bca_byz)
-module Stack_graded = Bca_core.Aa_weak.Make (Bca_core.Gbca_byz)
+module Aa = Bca_core.Aa
+module Aba = Bca_core.Aba
+module Stack_plain = Aba.Byz_strong_stack
 
 let n = 4
 
@@ -22,45 +22,25 @@ let run_lockstep make =
   assert (res.Lockstep.outcome = `All_terminated);
   res
 
-let ev_once ~optimize ~seed =
-  let coin = Coin.create Coin.Strong ~n ~degree:(2 * tf) ~seed in
-  let params = { Aa_ev.cfg; coin; optimize } in
+(* Fair lockstep depth of one run of a Byzantine stack whose rounds take
+   the configuration as their parameters, with a strong coin of [degree]. *)
+let once (module S : Aa.S with type inst_params = Types.cfg) ~degree ~seed =
+  let coin = Coin.create Coin.Strong ~n ~degree ~seed in
+  let params = { S.cfg; mode = `Byz; coin; bca_params = (fun ~round:_ -> cfg) } in
   let make pid =
-    let st, init = Aa_ev.create params ~me:pid ~input:inputs.(pid) in
-    (Aa_ev.node st, List.map (fun m -> Node.Broadcast m) init)
+    let st, init = S.create params ~me:pid ~input:inputs.(pid) in
+    (S.node st, List.map (fun m -> Node.Broadcast m) init)
   in
   float_of_int (run_lockstep make).Lockstep.depth
 
 let ev_optimizations ~runs ~seed =
-  let on = Mc.summarize ~runs ~seed (fun ~seed -> ev_once ~optimize:true ~seed) in
-  let off = Mc.summarize ~runs ~seed (fun ~seed -> ev_once ~optimize:false ~seed) in
+  let on = Mc.summarize ~runs ~seed (once (module Aba.Byz_ev_stack) ~degree:(2 * tf)) in
+  let off = Mc.summarize ~runs ~seed (once (module Aba.Byz_ev_fresh_stack) ~degree:(2 * tf)) in
   (on, off)
 
-let plain_once ~seed =
-  let coin = Coin.create Coin.Strong ~n ~degree:tf ~seed in
-  let params =
-    { Stack_plain.cfg; mode = `Byz; coin; bca_params = (fun ~round:_ -> cfg) }
-  in
-  let make pid =
-    let st, init = Stack_plain.create params ~me:pid ~input:inputs.(pid) in
-    (Stack_plain.node st, List.map (fun m -> Node.Broadcast m) init)
-  in
-  float_of_int (run_lockstep make).Lockstep.depth
-
-let graded_once ~seed =
-  let coin = Coin.create Coin.Strong ~n ~degree:tf ~seed in
-  let params =
-    { Stack_graded.cfg; mode = `Byz; coin; bca_params = (fun ~round:_ -> cfg) }
-  in
-  let make pid =
-    let st, init = Stack_graded.create params ~me:pid ~input:inputs.(pid) in
-    (Stack_graded.node st, List.map (fun m -> Node.Broadcast m) init)
-  in
-  float_of_int (run_lockstep make).Lockstep.depth
-
 let graded_vs_plain ~runs ~seed =
-  let plain = Mc.summarize ~runs ~seed (fun ~seed -> plain_once ~seed) in
-  let graded = Mc.summarize ~runs ~seed (fun ~seed -> graded_once ~seed) in
+  let plain = Mc.summarize ~runs ~seed (once (module Stack_plain) ~degree:tf) in
+  let graded = Mc.summarize ~runs ~seed (once (module Aba.Byz_weak_stack) ~degree:tf) in
   (plain, graded)
 
 let termination_once ~seed =

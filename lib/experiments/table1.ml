@@ -5,8 +5,8 @@ module Lockstep = Bca_netsim.Lockstep
 module Node = Bca_netsim.Node
 module Bca_crash = Bca_core.Bca_crash
 module Gbca_crash = Bca_core.Gbca_crash
-module Stack_strong = Bca_core.Aa_strong.Make (Bca_core.Bca_crash)
-module Stack_weak = Bca_core.Aa_weak.Make (Bca_core.Gbca_crash)
+module Stack_strong = Bca_core.Aba.Crash_strong_stack
+module Stack_weak = Bca_core.Aba.Crash_weak_stack
 
 let strong_expected = 7.0
 
@@ -122,7 +122,7 @@ let weak_generic ~n ~tf ~coin_kind ~seed =
         List.filter_map
           (fun e ->
             match payload e with
-            | Stack_weak.Gbca (r', Gbca_crash.MVal v) when r' = r -> Some v
+            | Stack_weak.Bca (r', Gbca_crash.MVal v) when r' = r -> Some v
             | _ -> None)
           envs
       in
@@ -144,7 +144,7 @@ let weak_generic ~n ~tf ~coin_kind ~seed =
   let order ~step:_ ~dst envs =
     let round_of env =
       match payload env with
-      | Stack_weak.Gbca (r, _) -> Some r
+      | Stack_weak.Bca (r, _) -> Some r
       | Stack_weak.Committed _ -> None
     in
     let reorder_round r mine =
@@ -152,20 +152,20 @@ let weak_generic ~n ~tf ~coin_kind ~seed =
       let kind sel = List.filter sel mine in
       let vals =
         kind (fun e ->
-            match payload e with Stack_weak.Gbca (_, Gbca_crash.MVal _) -> true | _ -> false)
+            match payload e with Stack_weak.Bca (_, Gbca_crash.MVal _) -> true | _ -> false)
       in
       let echoes =
         kind (fun e ->
-            match payload e with Stack_weak.Gbca (_, Gbca_crash.MEcho _) -> true | _ -> false)
+            match payload e with Stack_weak.Bca (_, Gbca_crash.MEcho _) -> true | _ -> false)
       in
       let echo2s =
         kind (fun e ->
-            match payload e with Stack_weak.Gbca (_, Gbca_crash.MEcho2 _) -> true | _ -> false)
+            match payload e with Stack_weak.Bca (_, Gbca_crash.MEcho2 _) -> true | _ -> false)
       in
       let rest =
         kind (fun e ->
             match payload e with
-            | Stack_weak.Gbca (_, (Gbca_crash.MVal _ | Gbca_crash.MEcho _ | Gbca_crash.MEcho2 _))
+            | Stack_weak.Bca (_, (Gbca_crash.MVal _ | Gbca_crash.MEcho _ | Gbca_crash.MEcho2 _))
               ->
               false
             | Stack_weak.Committed _ -> true)
@@ -175,17 +175,17 @@ let weak_generic ~n ~tf ~coin_kind ~seed =
       | Some { m } ->
         let val_is_m e =
           match payload e with
-          | Stack_weak.Gbca (_, Gbca_crash.MVal v) -> Value.equal v m
+          | Stack_weak.Bca (_, Gbca_crash.MVal v) -> Value.equal v m
           | _ -> false
         in
         let echo_is_m e =
           match payload e with
-          | Stack_weak.Gbca (_, Gbca_crash.MEcho cv) -> Types.cvalue_equal cv (Types.Val m)
+          | Stack_weak.Bca (_, Gbca_crash.MEcho cv) -> Types.cvalue_equal cv (Types.Val m)
           | _ -> false
         in
         let echo2_is_m e =
           match payload e with
-          | Stack_weak.Gbca (_, Gbca_crash.MEcho2 cv) -> Types.cvalue_equal cv (Types.Val m)
+          | Stack_weak.Bca (_, Gbca_crash.MEcho2 cv) -> Types.cvalue_equal cv (Types.Val m)
           | _ -> false
         in
         let vm, vw = List.partition val_is_m vals in

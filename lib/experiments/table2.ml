@@ -5,8 +5,8 @@ module Lockstep = Bca_netsim.Lockstep
 module Node = Bca_netsim.Node
 module Bca_byz = Bca_core.Bca_byz
 module Gbca_byz = Bca_core.Gbca_byz
-module Stack_strong = Bca_core.Aa_strong.Make (Bca_core.Bca_byz)
-module Stack_weak = Bca_core.Aa_weak.Make (Bca_core.Gbca_byz)
+module Stack_strong = Bca_core.Aba.Byz_strong_stack
+module Stack_weak = Bca_core.Aba.Byz_weak_stack
 
 let strong_t1_expected = 17.0
 
@@ -204,7 +204,7 @@ let weak_t1_once ~eps ~seed =
       match round_mixed r with
       | Some b when not (Hashtbl.mem opened r) ->
         Hashtbl.replace opened r ();
-        let m payload = Stack_weak.Gbca (r, payload) in
+        let m payload = Stack_weak.Bca (r, payload) in
         [ Node.Broadcast (m (Gbca_byz.MEcho b));
           Node.Unicast (x, m (Gbca_byz.MEcho2 b));
           Node.Unicast (y, m (Gbca_byz.MEcho2 b));
@@ -228,7 +228,7 @@ let weak_t1_once ~eps ~seed =
   let order ~step:_ ~dst envs =
     let score (env : _ Lockstep.envelope) =
       match env.Lockstep.payload with
-      | Stack_weak.Gbca (r, Gbca_byz.MEcho v) ->
+      | Stack_weak.Bca (r, Gbca_byz.MEcho v) ->
         (match Hashtbl.find_opt bound r with
         | Some b ->
           let is_b = Value.equal v b in
@@ -260,7 +260,7 @@ let weak_t1 ~eps ~runs ~seed =
 (* ------------------------------------------------------------------ *)
 
 module Evbca = Bca_core.Evbca_byz
-module Aa_ev = Bca_core.Aa_ev
+module Stack_ev = Bca_core.Aba.Byz_ev_stack
 
 type ev_roles = { c : Value.t; d : int; o : int; w : int }
 
@@ -271,8 +271,8 @@ let tsig_expected = 9.0
 let strong_2t1_once ~seed =
   let cfg = Types.cfg ~n ~t:tf in
   let coin = Coin.create Coin.Strong ~n ~degree:(2 * tf) ~seed in
-  let params = { Aa_ev.cfg; coin; optimize = true } in
-  let states : Aa_ev.t option array = Array.make n None in
+  let params = { Stack_ev.cfg; mode = `Byz; coin; bca_params = (fun ~round:_ -> cfg) } in
+  let states : Stack_ev.t option array = Array.make n None in
   let st pid = Option.get states.(pid) in
   let ready () = not (List.exists (fun p -> states.(p) = None) [ x; y; s ]) in
   let inputs = [| Value.V0; Value.V1; Value.V1; Value.V0 |] in
@@ -288,7 +288,7 @@ let strong_2t1_once ~seed =
         let ro =
           match Coin.adversary_peek coin ~round:(r - 1) with
           | Some (Coin.All_same c) ->
-            let holders = List.filter (fun p -> Value.equal (Aa_ev.est (st p)) c) [ x; y; s ] in
+            let holders = List.filter (fun p -> Value.equal (Stack_ev.est (st p)) c) [ x; y; s ] in
             (match holders with
             | [ p1; p2 ] ->
               let d = min p1 p2 and o = max p1 p2 in
@@ -302,14 +302,14 @@ let strong_2t1_once ~seed =
       end
   in
   let echo3_sent_in p r =
-    Aa_ev.terminated (st p)
+    Stack_ev.terminated (st p)
     ||
-    match Aa_ev.instance (st p) ~round:r with
+    match Stack_ev.instance (st p) ~round:r with
     | None -> false
     | Some inst -> Evbca.echo3_sent inst <> None
   in
   let approved_gt1 p r =
-    match Aa_ev.instance (st p) ~round:r with
+    match Stack_ev.instance (st p) ~round:r with
     | None -> false
     | Some inst -> List.length (Evbca.approved inst) > 1
   in
@@ -318,12 +318,12 @@ let strong_2t1_once ~seed =
   let byz_tick ~step:_ =
     if not (ready ()) then []
     else begin
-      let r = List.fold_left (fun acc p -> max acc (Aa_ev.current_round (st p))) 1 [ x; y; s ] in
+      let r = List.fold_left (fun acc p -> max acc (Stack_ev.current_round (st p))) 1 [ x; y; s ] in
       let out = ref [] in
       (* Round 1 volley: the plain-BCA split of Theorem 4.11. *)
       if r = 1 && not (Hashtbl.mem opened 1) then begin
         Hashtbl.replace opened 1 ();
-        let m payload = Aa_ev.Bca (1, payload) in
+        let m payload = Stack_ev.Bca (1, payload) in
         out :=
           [ Node.Broadcast (m (Evbca.MEcho b1));
             Node.Unicast (s, m (Evbca.MEcho w1));
@@ -333,7 +333,7 @@ let strong_2t1_once ~seed =
       end;
       if (not !late1) && echo3_sent_in y 1 then begin
         late1 := true;
-        out := Node.Unicast (y, Aa_ev.Bca (1, Evbca.MEcho w1)) :: !out
+        out := Node.Unicast (y, Stack_ev.Bca (1, Evbca.MEcho w1)) :: !out
       end;
       (* Mixed rounds >= 2: support the non-bound value's echoes and vote
          for the bound value towards everyone (delivery is timed by the
@@ -342,7 +342,7 @@ let strong_2t1_once ~seed =
         match roles_for r with
         | Some ro ->
           Hashtbl.replace opened r ();
-          let m payload = Aa_ev.Bca (r, payload) in
+          let m payload = Stack_ev.Bca (r, payload) in
           out :=
             !out
             @ [ Node.Broadcast (m (Evbca.MEcho (Value.negate ro.c)));
@@ -359,9 +359,9 @@ let strong_2t1_once ~seed =
     if pid = b_pid then
       (Node.make ~receive:(fun ~src:_ _ -> []) ~terminated:(fun () -> true) ~tick:byz_tick (), [])
     else begin
-      let state, init = Aa_ev.create params ~me:pid ~input:inputs.(pid) in
+      let state, init = Stack_ev.create params ~me:pid ~input:inputs.(pid) in
       states.(pid) <- Some state;
-      (Aa_ev.node state, List.map (fun m -> Node.Broadcast m) init)
+      (Stack_ev.node state, List.map (fun m -> Node.Broadcast m) init)
     end
   in
   (* Deliver older rounds and earlier message kinds first: the EV
@@ -370,10 +370,10 @@ let strong_2t1_once ~seed =
      approval propagation to stay ahead of the decision clauses. *)
   let kind_rank (env : _ Lockstep.envelope) =
     match env.Lockstep.payload with
-    | Aa_ev.Bca (r, Evbca.MEcho _) -> (r, 0)
-    | Aa_ev.Bca (r, Evbca.MEcho2 _) -> (r, 1)
-    | Aa_ev.Bca (r, Evbca.MEcho3 _) -> (r, 2)
-    | Aa_ev.Committed _ -> (max_int, 0)
+    | Stack_ev.Bca (r, Evbca.MEcho _) -> (r, 0)
+    | Stack_ev.Bca (r, Evbca.MEcho2 _) -> (r, 1)
+    | Stack_ev.Bca (r, Evbca.MEcho3 _) -> (r, 2)
+    | Stack_ev.Committed _ -> (max_int, 0)
   in
   (* Fairness valve: no deferral outlives this many steps, so the run
      cannot starve even if it drifts off the scripted path. *)
@@ -397,12 +397,12 @@ let strong_2t1_once ~seed =
           ||
           let src = env.Lockstep.src in
           match env.Lockstep.payload with
-          | Aa_ev.Bca (1, Evbca.MEcho v) when Value.equal v w1 ->
+          | Stack_ev.Bca (1, Evbca.MEcho v) when Value.equal v w1 ->
             (* Round 1: keep X's and Y's approvedVals at {b} long enough. *)
             if dst = x && src <> x then echo3_sent_in x 2
             else if dst = y && src = s then echo3_sent_in y 1
             else true
-          | Aa_ev.Bca (r, Evbca.MEcho v) when r >= 2 ->
+          | Stack_ev.Bca (r, Evbca.MEcho v) when r >= 2 ->
             (match Hashtbl.find_opt roles r with
             | Some (Some ro) when not (Value.equal v ro.c) ->
               (* D's approvedVals stay {c} until its next-round echo3 is
@@ -410,14 +410,14 @@ let strong_2t1_once ~seed =
                  for the approval propagation of optimization 1). *)
               if dst = ro.d && src <> ro.d then echo3_sent_in ro.d (r + 1) else true
             | _ -> true)
-          | Aa_ev.Bca (r, Evbca.MEcho2 v) when r >= 2 ->
+          | Stack_ev.Bca (r, Evbca.MEcho2 v) when r >= 2 ->
             (match Hashtbl.find_opt roles r with
             | Some (Some ro) when Value.equal v ro.c ->
               (* O must reach |approvedVals| > 1 before its echo2 quorum
                  completes, so it bottoms instead of voting for c. *)
               if dst = ro.o && src = ro.d then approved_gt1 ro.o r else true
             | _ -> true)
-          | Aa_ev.Bca (r, Evbca.MEcho3 (Types.Val v)) when r >= 2 && src = b_pid ->
+          | Stack_ev.Bca (r, Evbca.MEcho3 (Types.Val v)) when r >= 2 && src = b_pid ->
             (match Hashtbl.find_opt roles r with
             | Some (Some ro) when Value.equal v ro.c ->
               (* B's vote lands one step after O's bottom echo3. *)

@@ -256,16 +256,18 @@ let total_decoding =
 
 (* Structural cross-check, driven entirely by the parsetrees:
 
-   1. wirefmt.ml binds [module A = F.Make (Inner)] for every stack it
-      encodes; harvest those bindings.
-   2. The constructors of [A]'s message type are declared by the [type
-      msg] variant inside [F]'s functor body (file [f.ml] next to
-      wirefmt.ml); the constructors of the per-round protocol messages
-      by the [type msg] variant of [inner.ml].
+   1. wirefmt.ml binds [module A = F.Make (Inner)] (or [F.Make (G.Rule
+      (Inner))]) for every stack it encodes; harvest those bindings.
+   2. The constructors of [A]'s message type are declared by the first
+      [type msg] variant of [f.ml] next to wirefmt.ml; the constructors
+      of the per-round protocol messages by the [type msg] variant of
+      [inner.ml].
    3. Every such constructor, qualified exactly as the codecs must
       qualify it ([A.C] or [Inner.C]), has to occur in wirefmt.ml both
       in pattern position (the encoder matches on it) and in expression
-      position (the decoder rebuilds it). *)
+      position (the decoder rebuilds it).  [A.C] may instead occur as
+      [P.C] inside a functor [module G (P : F.S)], which encodes every
+      [F.Make] stack at once. *)
 
 let first_msg_variant ast =
   let found = ref None in
@@ -309,9 +311,17 @@ let constructor_occurrences ast =
   it.structure it ast;
   (!pats, !exps)
 
+(* [module A = F.Make (Inner)], or with the round module itself a functor
+   application, [module A = F.Make (G.Rule (Inner))]: (A, F, the innermost
+   module ident, loc). *)
 let functor_bindings ast =
-  let out = ref [] in
-  List.iter
+  let rec innermost me =
+    match me.pmod_desc with
+    | Pmod_ident { txt = Longident.Lident inner; _ } -> Some inner
+    | Pmod_apply (_, arg) -> innermost arg
+    | _ -> None
+  in
+  List.filter_map
     (fun item ->
       match item.pstr_desc with
       | Pstr_module
@@ -319,28 +329,44 @@ let functor_bindings ast =
             pmb_expr =
               { pmod_desc =
                   Pmod_apply
-                    ( { pmod_desc = Pmod_ident { txt = f; _ }; _ },
-                      { pmod_desc = Pmod_ident { txt = Longident.Lident inner; _ }; _ } );
+                    ({ pmod_desc = Pmod_ident { txt = Longident.Ldot (f, "Make"); _ }; _ }, arg);
                 _ };
             pmb_loc;
-            _ }
-        when String.equal (Longident.last f) "Make" -> (
-        match f with
-        | Longident.Ldot (p, _) -> out := (alias, Longident.last p, inner, pmb_loc) :: !out
-        | _ -> ())
-      | _ -> ())
-    ast;
-  List.rev !out
+            _ } ->
+        Option.map (fun inner -> (alias, Longident.last f, inner, pmb_loc)) (innermost arg)
+      | _ -> None)
+    ast
+
+(* Functors written once over a stack signature, [module G (A : F.S) = ...]:
+   (A, F).  A constructor [A.C] there covers [C] for every [F.Make]
+   binding. *)
+let generic_params ast =
+  List.filter_map
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_module
+          { pmb_expr =
+              { pmod_desc =
+                  Pmod_functor
+                    ( Named
+                        ( { txt = Some param; _ },
+                          { pmty_desc = Pmty_ident { txt = Longident.Ldot (f, _); _ }; _ } ),
+                      _ );
+                _ };
+            _ } -> Some (param, Longident.last f)
+      | _ -> None)
+    ast
 
 let wire_coverage_check src =
   let dir = Filename.dirname src.Lint.path in
   let out = ref [] in
   let add loc msg = out := finding ~rule:"wire-coverage" ~severity:Lint.Error ~loc msg :: !out in
   let pats, exps = constructor_occurrences src.Lint.ast in
-  let occurs store ctor qual =
+  let occurs store ctor quals =
     List.exists
       (fun (c, q) ->
-        String.equal c ctor && match q with Some q -> String.equal q qual | None -> false)
+        String.equal c ctor
+        && match q with Some q -> List.exists (String.equal q) quals | None -> false)
       store
   in
   let msg_ctors_of_module ~loc name =
@@ -356,21 +382,28 @@ let wire_coverage_check src =
         add loc (Printf.sprintf "%s declares no 'type msg' variant (looked in %s)" name file);
         [])
   in
-  let check_ctor ~loc ~qual ctor =
-    if not (occurs pats ctor qual) then
+  let check_ctor ~loc ?(generic = []) ~qual ctor =
+    let quals = qual :: generic in
+    if not (occurs pats ctor quals) then
       add loc
         (Printf.sprintf "constructor %s.%s has no encode branch (never matched as a pattern)"
            qual ctor);
-    if not (occurs exps ctor qual) then
+    if not (occurs exps ctor quals) then
       add loc
         (Printf.sprintf "constructor %s.%s has no decode branch (never constructed)" qual ctor)
   in
   let bindings = functor_bindings src.Lint.ast in
+  let params = generic_params src.Lint.ast in
   if bindings = [] then
     add Location.none "wirefmt.ml binds no stack codec modules (module A = F.Make (Inner))";
   List.iter
     (fun (alias, functor_owner, inner, loc) ->
-      List.iter (check_ctor ~loc ~qual:alias) (msg_ctors_of_module ~loc functor_owner);
+      let generic =
+        List.filter_map
+          (fun (param, f) -> if String.equal f functor_owner then Some param else None)
+          params
+      in
+      List.iter (check_ctor ~loc ~generic ~qual:alias) (msg_ctors_of_module ~loc functor_owner);
       List.iter (check_ctor ~loc ~qual:inner) (msg_ctors_of_module ~loc inner))
     bindings;
   List.rev !out

@@ -255,8 +255,6 @@ let replay t events =
   in
   go 0
 
-type 'm list_scheduler = delivered:int -> 'm envelope list -> 'm envelope option
-
 (* [sk_mask] caches [slow] as a pid-indexed bitmap, sized on first pick from
    the execution's [n] - the per-slot membership test is then one array read
    instead of an O(|slow|) list scan. *)
@@ -272,7 +270,6 @@ type 'm scheduler =
   | Fifo
   | Skewed of skewed
   | Indexed of (delivered:int -> 'm t -> int option)
-  | Legacy of 'm list_scheduler
 
 let random_scheduler rng = Random rng
 
@@ -282,8 +279,6 @@ let skewed_scheduler rng ~slow ~bias =
 let fifo_scheduler = Fifo
 
 let indexed_scheduler f = Indexed f
-
-let of_list_scheduler f = Legacy f
 
 let ensure_heap t =
   match t.fifo_heap with
@@ -352,13 +347,6 @@ let choose_slot t = function
       if i < 0 || i >= Pool.length t.pool then
         invalid_arg "Async_exec.step: indexed scheduler chose an out-of-range slot";
       Some i)
-  | Legacy f ->
-    (match f ~delivered:t.delivered (Pool.to_list t.pool) with
-    | None -> None
-    | Some env ->
-      (match Hashtbl.find_opt (ensure_slot_index t) env.eid with
-      | None -> invalid_arg "Async_exec.step: scheduler chose a non-inflight envelope"
-      | Some i -> Some i))
 
 let step t scheduler =
   if Pool.is_empty t.pool then `Empty

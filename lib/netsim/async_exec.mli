@@ -11,8 +11,7 @@
     rather than receiving a materialized list, so one delivery costs O(1)
     (random), O(log m) amortized (FIFO, via a min-eid heap) or one
     allocation-free pass (skewed) instead of the former O(m) list snapshot
-    per step.  The legacy list-based scheduler type is kept behind
-    {!of_list_scheduler} and produces identical delivery traces.
+    per step, with identical delivery traces.
 
     Crash faults are modelled by {!crash}: the party stops receiving and
     emitting.  [crash] can be combined with {!drop_outgoing} to model a party
@@ -53,9 +52,9 @@ val create_traced :
 val n : 'm t -> int
 
 val inflight : 'm t -> 'm envelope list
-(** Snapshot of undelivered envelopes (unspecified order).  O(m); meant for
-    attack drivers and tests, not for scheduler hot paths - those should use
-    {!pool_size} and {!pool_get}. *)
+(** Snapshot of undelivered envelopes, in pool-slot order (the [i]th element
+    is {!pool_get}[ t i]).  O(m); meant for attack drivers and tests, not for
+    scheduler hot paths - those should use {!pool_size} and {!pool_get}. *)
 
 val inflight_count : 'm t -> int
 
@@ -155,13 +154,6 @@ val replay : 'm t -> Bca_obs.Event.timed array -> (unit, string) result
     replay emits a fresh trace that can be compared with the original for
     bit-for-bit identity. *)
 
-type 'm list_scheduler = delivered:int -> 'm envelope list -> 'm envelope option
-(** The legacy scheduler signature: given the number of deliveries so far and
-    a list snapshot of the in-flight pool (never empty), choose the next
-    envelope, or [None] to stop the run early.  Adapt with
-    {!of_list_scheduler}; every call materializes the pool, so prefer
-    {!indexed_scheduler} for new code. *)
-
 type 'm scheduler
 (** A delivery policy.  Built-in policies pick a pool slot directly and are
     interpreted by the executor without materializing the in-flight set. *)
@@ -190,11 +182,6 @@ val indexed_scheduler : (delivered:int -> 'm t -> int option) -> 'm scheduler
 (** Custom policy over the indexed API: inspect the pool via {!pool_size} /
     {!pool_get} and return a slot in [\[0, pool_size t)], or [None] to stop.
     The chooser must not mutate the execution. *)
-
-val of_list_scheduler : 'm list_scheduler -> 'm scheduler
-(** Compatibility adapter for legacy list-based schedulers.  The returned
-    envelope is located by id in O(1), but the list snapshot itself costs
-    O(m) per step. *)
 
 val step : 'm t -> 'm scheduler -> [ `Delivered of 'm envelope | `Stopped | `Empty ]
 (** One scheduling decision. *)

@@ -1,6 +1,6 @@
 module Types = Bca_core.Types
 module Coin = Bca_coin.Coin
-module Aba = Bca_core.Aa_strong.Make (Bca_core.Bca_byz)
+module Aba = Bca_core.Aba.Byz_strong_stack
 
 type msg = Slot_aba of Aba.msg
 

@@ -8,7 +8,7 @@
     rule cross-checks against the codec in [lib/rsm/wirefmt.ml]. *)
 
 module Types = Bca_core.Types
-module Aba : module type of Bca_core.Aa_strong.Make (Bca_core.Bca_byz)
+module Aba = Bca_core.Aba.Byz_strong_stack
 
 type msg = Slot_aba of Aba.msg
 

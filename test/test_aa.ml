@@ -10,8 +10,8 @@ module Aba = Bca_core.Aba
 module Async = Bca_netsim.Async_exec
 module Node = Bca_netsim.Node
 module Cluster = Bca_test_helpers.Cluster
-module Crash_stack = Bca_core.Aa_strong.Make (Bca_core.Bca_crash)
-module Byz_stack = Bca_core.Aa_strong.Make (Bca_core.Bca_byz)
+module Crash_stack = Bca_core.Aba.Crash_strong_stack
+module Byz_stack = Bca_core.Aba.Byz_strong_stack
 
 let cfg_c = Types.cfg ~n:5 ~t:2
 

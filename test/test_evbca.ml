@@ -1,5 +1,5 @@
-(* Tests for the Appendix G constructions: EVBCA-Byz (Aa_ev) and EVBCA-TSig
-   (Aa_ev_tsig), end-to-end under random schedules, plus unit checks of the
+(* Tests for the Appendix G constructions: EVBCA-Byz (Aba.Byz_ev_stack) and
+   EVBCA-TSig (Aa_ev_tsig), end-to-end under random schedules, plus unit checks of the
    start-context optimizations. *)
 
 module Value = Bca_util.Value
@@ -8,7 +8,7 @@ module Types = Bca_core.Types
 module Coin = Bca_coin.Coin
 module Threshold = Bca_crypto.Threshold
 module Evbca = Bca_core.Evbca_byz
-module Aa_ev = Bca_core.Aa_ev
+module Ev_stack = Bca_core.Aba.Byz_ev_stack
 module Evt = Bca_core.Evbca_tsig
 module Aa_evt = Bca_core.Aa_ev_tsig
 module Async = Bca_netsim.Async_exec
@@ -49,22 +49,22 @@ let test_unit_external_approve_votes () =
     (List.mem (Evbca.MEcho2 Value.V1) out)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: Aa_ev under random schedules.                            *)
+(* End-to-end: AA-EVBCA under random schedules.                        *)
 (* ------------------------------------------------------------------ *)
 
 let run_aa_ev ~inputs ~seed =
   let coin = Coin.create Coin.Strong ~n:4 ~degree:2 ~seed:(Int64.add seed 1L) in
-  let params = { Aa_ev.cfg; coin; optimize = true } in
+  let params = { Ev_stack.cfg; mode = `Byz; coin; bca_params = (fun ~round:_ -> cfg) } in
   let states = Array.make 4 None in
   let exec =
     Async.create ~n:4 ~make:(fun pid ->
-        let st, init = Aa_ev.create params ~me:pid ~input:inputs.(pid) in
+        let st, init = Ev_stack.create params ~me:pid ~input:inputs.(pid) in
         states.(pid) <- Some st;
-        (Aa_ev.node st, List.map (fun m -> Node.Broadcast m) init))
+        (Ev_stack.node st, List.map (fun m -> Node.Broadcast m) init))
   in
   let rng = Rng.create seed in
   let outcome = Async.run exec (Async.random_scheduler rng) in
-  (outcome, Array.map (fun st -> Option.bind st Aa_ev.committed) states)
+  (outcome, Array.map (fun st -> Option.bind st Ev_stack.committed) states)
 
 let prop_aa_ev_agreement =
   QCheck2.Test.make ~count:200 ~name:"AA-EVBCA: agreement + termination (all honest)"

@@ -215,6 +215,44 @@ let test_wire_coverage_clean () =
   let report = lint_fixture (wire_fixture ~wirefmt:covered_wirefmt) in
   Alcotest.(check int) "covered wirefmt is clean" 0 (count_rule "wire-coverage" report)
 
+(* The nested shape [module S = Stack.Make (Stack.Rule (Proto))], with the
+   stack's own constructors encoded once by a functor over [Stack.S]. *)
+let nested_fixture ~wirefmt =
+  [ ("lib/wire/proto.ml", "type msg = A of int | B\n");
+    ("lib/wire/stack.ml",
+     "module type S = sig\n  type msg = Wrap of int | Done\nend\n\
+      module Rule (P : sig end) = struct end\n\
+      module Make (R : sig end) = struct\n  type msg = Wrap of int | Done\nend\n");
+    ("lib/wire/wirefmt.ml", wirefmt) ]
+
+let nested_wirefmt ~framed ~decode_p =
+  "module S = Stack.Make (Stack.Rule (Proto))\n" ^ framed
+  ^ "let encode_p = function Proto.A i -> i | Proto.B -> 0\n" ^ decode_p
+
+let framed =
+  "module Framed (A : Stack.S) = struct\n\
+  \  let encode = function A.Wrap i -> i | A.Done -> 0\n\
+  \  let decode i = if i = 0 then A.Done else A.Wrap i\n\
+   end\n"
+
+let decode_p = "let decode_p = function 0 -> Proto.B | i -> Proto.A i\n"
+
+let test_wire_coverage_nested () =
+  let count wirefmt = count_rule "wire-coverage" (lint_fixture (nested_fixture ~wirefmt)) in
+  Alcotest.(check int) "nested binding, fully covered" 0 (count (nested_wirefmt ~framed ~decode_p));
+  Alcotest.(check int) "inner decode branch missing" 1
+    (count (nested_wirefmt ~framed ~decode_p:"let decode_p i = Proto.A i\n"));
+  Alcotest.(check int) "stack decode branch missing from the generic framing" 1
+    (count
+       (nested_wirefmt ~decode_p
+          ~framed:
+            "module Framed (A : Stack.S) = struct\n\
+            \  let encode = function A.Wrap i -> i | A.Done -> 0\n\
+            \  let decode i = A.Wrap i\n\
+             end\n"));
+  Alcotest.(check int) "no framing: both stack constructors, both directions" 4
+    (count (nested_wirefmt ~framed:"" ~decode_p))
+
 (* ------------------------------------------------------------------ *)
 (* Suppressions                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -673,7 +711,8 @@ let () =
           Alcotest.test_case "passes good" `Quick test_total_decoding_clean ] );
       ( "wire-coverage",
         [ Alcotest.test_case "flags bad" `Quick test_wire_coverage_flags;
-          Alcotest.test_case "passes good" `Quick test_wire_coverage_clean ] );
+          Alcotest.test_case "passes good" `Quick test_wire_coverage_clean;
+          Alcotest.test_case "nested functor bindings" `Quick test_wire_coverage_nested ] );
       ( "suppressions",
         [ Alcotest.test_case "valid line" `Quick test_suppression_valid;
           Alcotest.test_case "valid file" `Quick test_suppression_file_level;

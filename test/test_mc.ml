@@ -3,11 +3,10 @@
    The contract: the sample vector depends only on the root seed, never on
    the domain count.  Seeds are pre-drawn from the root SplitMix64 stream in
    run order and each domain evaluates a fixed block, so 1, 2 or 7 domains
-   must produce bit-identical results - and identical to the legacy
-   sequential driver. *)
+   must produce bit-identical results - and identical to the inline
+   one-domain driver. *)
 
 module Mc = Bca_experiments.Mc
-module Montecarlo = Bca_experiments.Montecarlo
 module Rng = Bca_util.Rng
 module Summary = Bca_util.Summary
 module Types = Bca_core.Types
@@ -64,7 +63,7 @@ let test_domain_count_invariance () =
 
 let test_matches_legacy_driver () =
   let runs = 17 and seed = 4242L in
-  let a = Montecarlo.summarize ~runs ~seed synthetic in
+  let a = Mc.summarize ~domains:1 ~runs ~seed synthetic in
   let b = Mc.summarize ~domains:4 ~runs ~seed synthetic in
   Alcotest.(check (float 0.0)) "mean" a.Summary.mean b.Summary.mean;
   Alcotest.(check (float 0.0)) "stddev" a.Summary.stddev b.Summary.stddev;

@@ -84,33 +84,34 @@ let ping_cluster n =
   in
   Async.create ~n ~make
 
-(* Replicas of the historical list-based schedulers, adapted via
-   of_list_scheduler: the baselines the indexed policies must match. *)
-let legacy_random rng =
-  Async.of_list_scheduler (fun ~delivered:_ envs ->
-      match envs with [] -> None | envs -> Some (Rng.pick rng envs))
+(* Replicas of the historical list-based schedulers: the baselines the
+   indexed policies must match.  Each picks an envelope from the (never
+   empty) in-flight list, which is in pool-slot order, so the pick's
+   position in it is its slot. *)
+let of_list pick =
+  Async.indexed_scheduler (fun ~delivered:_ exec ->
+      let envs = Async.inflight exec in
+      let chosen = (pick envs : _ Async.envelope).Async.eid in
+      let rec slot i = function
+        | [] -> None
+        | (e : _ Async.envelope) :: rest -> if e.Async.eid = chosen then Some i else slot (i + 1) rest
+      in
+      slot 0 envs)
+
+let legacy_random rng = of_list (fun envs -> Rng.pick rng envs)
 
 let legacy_fifo () =
-  Async.of_list_scheduler (fun ~delivered:_ envs ->
-      match envs with
-      | [] -> None
-      | hd :: _ ->
-        Some
-          (List.fold_left
-             (fun acc (e : _ Async.envelope) -> if e.Async.eid < acc.Async.eid then e else acc)
-             hd envs))
+  of_list (fun envs ->
+      List.fold_left
+        (fun acc (e : _ Async.envelope) -> if e.Async.eid < acc.Async.eid then e else acc)
+        (List.hd envs) envs)
 
 let legacy_skewed rng ~slow ~bias =
-  Async.of_list_scheduler (fun ~delivered:_ envs ->
-      match envs with
-      | [] -> None
-      | envs ->
-        let fast =
-          List.filter (fun (e : _ Async.envelope) -> not (List.mem e.Async.dst slow)) envs
-        in
-        if fast <> [] && (List.length fast = List.length envs || Rng.int rng bias <> 0) then
-          Some (Rng.pick rng fast)
-        else Some (Rng.pick rng envs))
+  of_list (fun envs ->
+      let fast = List.filter (fun (e : _ Async.envelope) -> not (List.mem e.Async.dst slow)) envs in
+      if fast <> [] && (List.length fast = List.length envs || Rng.int rng bias <> 0) then
+        Rng.pick rng fast
+      else Rng.pick rng envs)
 
 let trace_of ~n scheduler =
   let exec = ping_cluster n in

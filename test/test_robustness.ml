@@ -10,7 +10,7 @@ module Async = Bca_netsim.Async_exec
 module Node = Bca_netsim.Node
 module Cluster = Bca_test_helpers.Cluster
 module B = Bca_core.Bca_byz
-module Aa_ev = Bca_core.Aa_ev
+module Ev_stack = Bca_core.Aba.Byz_ev_stack
 module Evbca = Bca_core.Evbca_byz
 module Weak_stack = Bca_core.Aba.Crash_weak_stack
 module Acs = Bca_acs.Acs
@@ -191,16 +191,16 @@ let prop_aa_ev_byzantine =
     (fun (inputs, seed) ->
       let cfg = Types.cfg ~n:4 ~t:1 in
       let coin = Coin.create Coin.Strong ~n:4 ~degree:2 ~seed:(Int64.of_int (seed + 1)) in
-      let params = { Aa_ev.cfg; coin; optimize = true } in
+      let params = { Ev_stack.cfg; mode = `Byz; coin; bca_params = (fun ~round:_ -> cfg) } in
       let rng_byz = Rng.create (Int64.of_int (seed + 2)) in
       let junk () =
         let r = 1 + Rng.int rng_byz 3 in
         let v = Value.of_bool (Rng.bool rng_byz) in
         match Rng.int rng_byz 4 with
-        | 0 -> Aa_ev.Bca (r, Evbca.MEcho v)
-        | 1 -> Aa_ev.Bca (r, Evbca.MEcho2 v)
-        | 2 -> Aa_ev.Bca (r, Evbca.MEcho3 (Types.Val v))
-        | _ -> Aa_ev.Committed v
+        | 0 -> Ev_stack.Bca (r, Evbca.MEcho v)
+        | 1 -> Ev_stack.Bca (r, Evbca.MEcho2 v)
+        | 2 -> Ev_stack.Bca (r, Evbca.MEcho3 (Types.Val v))
+        | _ -> Ev_stack.Committed v
       in
       let states = Array.make 4 None in
       let exec =
@@ -214,16 +214,16 @@ let prop_aa_ev_byzantine =
                   (),
                 [] )
             else begin
-              let st, init = Aa_ev.create params ~me:pid ~input:inputs.(pid) in
+              let st, init = Ev_stack.create params ~me:pid ~input:inputs.(pid) in
               states.(pid) <- Some st;
-              (Aa_ev.node st, List.map (fun m -> Node.Broadcast m) init)
+              (Ev_stack.node st, List.map (fun m -> Node.Broadcast m) init)
             end)
       in
       let rng = Rng.create (Int64.of_int seed) in
       let outcome = Async.run exec (Async.random_scheduler rng) in
       if outcome <> `All_terminated then QCheck2.Test.fail_report "no termination";
       let commits =
-        Array.to_list states |> List.filter_map (fun st -> Option.bind st Aa_ev.committed)
+        Array.to_list states |> List.filter_map (fun st -> Option.bind st Ev_stack.committed)
       in
       match commits with
       | v :: rest -> List.for_all (Value.equal v) rest

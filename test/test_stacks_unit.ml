@@ -132,7 +132,7 @@ let weak_party seed =
 (* feed a full round-1 GBCA by hand with chosen echo2 outcomes *)
 let drive_round1 p echo2s =
   List.iteri
-    (fun i cv -> ignore (Weak.handle p ~from:i (Weak.Gbca (1, G.MEcho2 cv)) : Weak.msg list))
+    (fun i cv -> ignore (Weak.handle p ~from:i (Weak.Bca (1, G.MEcho2 cv)) : Weak.msg list))
     echo2s
 
 let test_weak_grade2_commits_without_coin () =
@@ -140,7 +140,7 @@ let test_weak_grade2_commits_without_coin () =
   let p, _ = weak_party 21L in
   drive_round1 p [ Types.Val Value.V1 ];
   Alcotest.(check bool) "not yet" true (Weak.committed p = None);
-  ignore (Weak.handle p ~from:1 (Weak.Gbca (1, G.MEcho2 (Types.Val Value.V1))) : Weak.msg list);
+  ignore (Weak.handle p ~from:1 (Weak.Bca (1, G.MEcho2 (Types.Val Value.V1))) : Weak.msg list);
   (* grade 2 commits regardless of the coin value *)
   Alcotest.(check bool) "grade 2 commits" true (Weak.committed p = Some Value.V1)
 
