@@ -287,7 +287,7 @@ let cluster_dps row =
    supervisor restarts it with --recover and the run must still decide
    unanimously.  Figures of merit: decisions/sec under the kill regime,
    WAL bytes per decision (the durability tax), and per-recovery replay
-   cost (records and wall time from the RECOVERED line). *)
+   cost (records and wall time from each recovered node's report line). *)
 type recovery_row = {
   rc_transport : string;
   rc_n : int;
@@ -939,22 +939,22 @@ let recovery_bench () =
         if kill_at <> None then incr kills;
         let outcome =
           Fun.protect ~finally:cleanup (fun () ->
-              Cluster.spawn_cluster_supervised ~timeout_s:30. ?kill_at ~node_exe
-                ~stack:"byz-strong" ~eps:0.25 ~cfg
+              Cluster.spawn ~timeout_s:30. ~wal_dir ?kill_at ~node_exe ~cfg
                 ~seed:(Int64.add seed (Int64.of_int (3000 + k)))
-                ~inputs ~wal_dir ~transport ())
+                ~transport
+                (Cluster.Aba_one { spec = Bca_core.Aba.Byz_strong; inputs }))
         in
         match outcome with
         | Ok r ->
-          restarts := !restarts + r.Cluster.s_restarts;
-          wal_bytes := !wal_bytes + r.Cluster.s_wal_bytes;
+          restarts := !restarts + r.Cluster.c_restarts;
+          wal_bytes := !wal_bytes + r.Cluster.c_wal_bytes;
           List.iter
             (fun ri ->
               incr recoveries;
               rec_records := !rec_records + ri.Cluster.ri_records;
               rec_bytes := !rec_bytes + ri.Cluster.ri_wal_bytes;
               replay_s := !replay_s +. ri.Cluster.ri_replay_s)
-            r.Cluster.s_recoveries
+            r.Cluster.c_recoveries
         | Error e -> failwith (Printf.sprintf "recovery (%s, decision %d): %s" tname k e)
       done;
       let wall = Unix.gettimeofday () -. t0 in

@@ -300,146 +300,96 @@ let cluster_cmd =
           node_exe;
         exit 1
       end;
-      let header () =
-        Format.printf "cluster:    %a over %s (n=%d processes, t=%d)@." Aba.pp_spec spec
-          (match transport with `Unix -> "unix sockets" | `Tcp -> "tcp")
-          n t
+      let over = match transport with `Unix -> "unix sockets" | `Tcp -> "tcp" in
+      let fail msg =
+        prerr_endline msg;
+        exit 1
       in
-      if rsm then begin
-        if supervise || instances > 1 then begin
-          prerr_endline "--rsm excludes --supervise and --instances";
-          exit 1
-        end;
-        match
-          Cluster.spawn_rsm_cluster ~timeout_s:timeout ~node_exe ~cfg ~seed ~epochs:rsm_epochs
-            ~window:rsm_window ~batch_txs:64 ~batch_bytes:(64 * 1024) ~txs_per_node:rsm_txs
-            ~tx_bytes:32 ~transport ()
-        with
-        | Ok r ->
-          Format.printf "rsm log:    %d replicas over %s (window %d)@." n
-            (match transport with `Unix -> "unix sockets" | `Tcp -> "tcp")
-            rsm_window;
-          Format.printf "committed:  %d transactions in %d epochs@." r.Cluster.rc_txs
-            r.Cluster.rc_epochs;
-          Format.printf "log digest: %016Lx (identical at every replica)@." r.Cluster.rc_hash;
-          Format.printf "traffic:    %d frames, %d bytes (%d words)@."
-            r.Cluster.rc_stats.frames r.Cluster.rc_stats.bytes r.Cluster.rc_stats.words
-        | Error e ->
-          prerr_endline e;
-          exit 1
-      end
-      else if supervise then begin
-        if instances > 1 then begin
-          prerr_endline "--supervise requires the single-instance executor";
-          exit 1
-        end;
-        let kill_at =
-          Option.map
-            (fun s ->
-              match String.index_opt s ':' with
-              | Some i when int_of_string_opt (String.sub s 0 i) <> None ->
-                ( int_of_string (String.sub s 0 i),
-                  String.sub s (i + 1) (String.length s - i - 1) )
-              | _ ->
-                prerr_endline "bad --kill-at (expected PID:coin:R or PID:round:R)";
-                exit 1)
-            kill_at
-        in
-        let wal_dir, cleanup =
-          match wal_dir with
-          | Some dir -> (dir, fun () -> ())
-          | None ->
-            let dir =
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "bca-wal-%d" (Unix.getpid ()))
-            in
-            Unix.mkdir dir 0o700;
-            ( dir,
-              fun () ->
-                (match Sys.readdir dir with
-                | entries ->
-                  Array.iter
-                    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-                    entries
-                | exception Sys_error _ -> ());
-                try Unix.rmdir dir with Unix.Unix_error _ -> () )
-        in
-        let outcome =
-          Fun.protect
-            ~finally:(fun () -> cleanup ())
-            (fun () ->
-              Cluster.spawn_cluster_supervised ~timeout_s:timeout ~max_restarts ?kill_at
-                ~node_exe ~stack ~eps ~cfg ~seed ~inputs:input_arr ~wal_dir ~transport ())
-        in
-        match outcome with
-        | Ok r ->
-          header ();
-          Format.printf "inputs:     %s@." inputs;
-          Format.printf "agreed:     %a@." Value.pp r.Cluster.s_result.Cluster.c_value;
+      let job, what =
+        if rsm then begin
+          if supervise || instances > 1 then fail "--rsm excludes --supervise and --instances";
+          ( Cluster.Rsm_log
+              { epochs = rsm_epochs;
+                window = rsm_window;
+                batch = { Bca_rsm.Rsm.max_txs = 64; max_bytes = 64 * 1024 };
+                txs_per_node = rsm_txs;
+                tx_bytes = 32 },
+            Printf.sprintf "replicated log, window %d, %d txs per replica" rsm_window rsm_txs )
+        end
+        else if instances > 1 then begin
+          if supervise then fail "--supervise requires the single-instance executor";
+          match
+            Bca_transport.Batcher.policy ~max_records:batch_records ~max_bytes:batch_bytes ()
+          with
+          | policy ->
+            ( Cluster.Aba_many { spec; instances; policy },
+              Format.asprintf "%a, %d instances (inputs derived from seed %Ld)" Aba.pp_spec spec
+                instances seed )
+          | exception Invalid_argument e -> fail e
+        end
+        else
+          ( Cluster.Aba_one { spec; inputs = input_arr },
+            Format.asprintf "%a, inputs %s" Aba.pp_spec spec inputs )
+      in
+      let kill_at =
+        Option.map
+          (fun s ->
+            match String.index_opt s ':' with
+            | Some i when int_of_string_opt (String.sub s 0 i) <> None ->
+              (int_of_string (String.sub s 0 i), String.sub s (i + 1) (String.length s - i - 1))
+            | _ -> fail "bad --kill-at (expected PID:coin:R or PID:round:R)")
+          kill_at
+      in
+      (* supervision runs over per-node WALs: --wal-dir, or a fresh
+         temporary directory removed afterwards *)
+      let wal_dir, cleanup =
+        match (supervise, wal_dir) with
+        | false, _ -> (None, fun () -> ())
+        | true, Some dir -> (Some dir, fun () -> ())
+        | true, None ->
+          let dir =
+            Filename.concat (Filename.get_temp_dir_name ())
+              (Printf.sprintf "bca-wal-%d" (Unix.getpid ()))
+          in
+          Unix.mkdir dir 0o700;
+          ( Some dir,
+            fun () ->
+              (match Sys.readdir dir with
+              | entries ->
+                Array.iter
+                  (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+                  entries
+              | exception Sys_error _ -> ());
+              try Unix.rmdir dir with Unix.Unix_error _ -> () )
+      in
+      match
+        Fun.protect ~finally:cleanup (fun () ->
+            Cluster.spawn ~timeout_s:timeout ?wal_dir ~max_restarts ?kill_at ~node_exe ~cfg
+              ~seed ~transport job)
+      with
+      | Ok r ->
+        Format.printf "cluster:    %s over %s (n=%d processes, t=%d)@." what over n t;
+        Format.printf "agreed:     %s@." (Cluster.key_to_string r.Cluster.c_key);
+        if Array.length r.Cluster.c_rounds > 0 then
           Format.printf "rounds:     %s@."
-            (String.concat " "
-               (Array.to_list (Array.map string_of_int r.Cluster.s_result.Cluster.c_rounds)));
-          Format.printf "traffic:    %d frames, %d bytes (%d words)@."
-            r.Cluster.s_result.Cluster.c_stats.frames r.Cluster.s_result.Cluster.c_stats.bytes
-            r.Cluster.s_result.Cluster.c_stats.words;
-          Format.printf "restarts:   %d (wal bytes: %d)@." r.Cluster.s_restarts
-            r.Cluster.s_wal_bytes;
+            (String.concat " " (Array.to_list (Array.map string_of_int r.Cluster.c_rounds)));
+        Format.printf "traffic:    %d frames, %d bytes (%d words)%s@." r.Cluster.c_stats.frames
+          r.Cluster.c_stats.bytes r.Cluster.c_stats.words
+          (if r.Cluster.c_batches > 0 then
+             Printf.sprintf ", %d batches carrying %d records" r.Cluster.c_batches
+               r.Cluster.c_records
+           else "");
+        if Option.is_some wal_dir then begin
+          Format.printf "restarts:   %d (wal bytes: %d)@." r.Cluster.c_restarts
+            r.Cluster.c_wal_bytes;
           List.iter
             (fun ri ->
-              Format.printf
-                "recovered:  node %d replayed %d records (%d bytes) in %.3f s@."
+              Format.printf "recovered:  node %d replayed %d records (%d bytes) in %.3f s@."
                 ri.Cluster.ri_pid ri.Cluster.ri_records ri.Cluster.ri_wal_bytes
                 ri.Cluster.ri_replay_s)
-            r.Cluster.s_recoveries
-        | Error e ->
-          prerr_endline e;
-          exit 1
-      end
-      else if instances > 1 then begin
-        let policy =
-          try Bca_transport.Batcher.policy ~max_records:batch_records ~max_bytes:batch_bytes ()
-          with Invalid_argument e ->
-            prerr_endline e;
-            exit 1
-        in
-        match
-          Cluster.spawn_cluster_multi ~timeout_s:timeout ~policy ~node_exe ~stack ~eps ~cfg
-            ~seed ~instances ~transport ()
-        with
-        | Ok r ->
-          header ();
-          Format.printf "instances:  %d (inputs derived from seed %Ld)@." instances seed;
-          Format.printf "agreed:     %s@."
-            (String.init instances (fun k ->
-                 if Value.to_int r.Cluster.mc_values.(k) = 1 then '1' else '0'));
-          Format.printf "rounds:     %s@."
-            (String.concat " " (Array.to_list (Array.map string_of_int r.Cluster.mc_rounds)));
-          Format.printf "traffic:    %d batch frames carrying %d records, %d bytes (%d words)@."
-            r.Cluster.mc_batches r.Cluster.mc_records r.Cluster.mc_stats.bytes
-            r.Cluster.mc_stats.words
-        | Error e ->
-          prerr_endline e;
-          exit 1
-      end
-      else begin
-        match
-          Cluster.spawn_cluster ~timeout_s:timeout ~node_exe ~stack ~eps ~cfg ~seed
-            ~inputs:input_arr ~transport ()
-        with
-        | Ok r ->
-          header ();
-          Format.printf "inputs:     %s@." inputs;
-          Format.printf "agreed:     %a@." Value.pp r.Cluster.c_value;
-          Format.printf "rounds:     %s@."
-            (String.concat " "
-               (Array.to_list (Array.map string_of_int r.Cluster.c_rounds)));
-          Format.printf "traffic:    %d frames, %d bytes (%d words)@." r.Cluster.c_stats.frames
-            r.Cluster.c_stats.bytes r.Cluster.c_stats.words
-        | Error e ->
-          prerr_endline e;
-          exit 1
-      end
+            r.Cluster.c_recoveries
+        end
+      | Error e -> fail e
   in
   Cmd.v
     (Cmd.info "cluster"

@@ -1,40 +1,28 @@
-(* One party of a multi-process (G)BCA cluster.
+(* One node of a multi-process cluster, spawned n times (once per pid) by
+   `bca cluster` / Bca_transport.Cluster.spawn.
 
-   Spawned n times (once per pid) by `bca cluster` or by
-   Bca_transport.Cluster.spawn_cluster; every process is handed the same
-   stack, seed and input vector, rebuilds the identical deterministic
-   cluster assembly, and drives only its own party over the socket
-   transport.  On success prints exactly one
+   Every process is handed the same workload parameters and seed,
+   rebuilds the identical deterministic assembly, and drives only its own
+   node over the socket transport through Cluster.serve.  The workload is
+   one binary agreement (--inputs), B pipelined agreements (--instances B,
+   inputs derived from the seed, messages batched per destination), or
+   one replica of the pipelined atomic-broadcast log (--rsm, the
+   transactions derived from the seed parameters).  On success it prints
+   exactly one report line on stdout and exits 0:
 
-     DECIDED pid=<me> value=<0|1> round=<r> frames=<sent> bytes=<sent>
+     REPORT pid=<me> frames=.. bytes=.. batches=.. records=.. <key> end
 
-   line on stdout and exits 0.  With --instances B > 1 it runs the
-   pipelined multi-instance executor instead (inputs derived from the
-   seed, messages batched per destination) and prints one
+   where <key> is value=<0|1> rounds=<r>, values=<bits> rounds=<csv>, or
+   epochs=<e> txs=<k> hash=<fnv64>; a node that recovered from its WAL
+   adds recovered=<records>:<wal bytes>:<replay s> before the end token.
+   Any failure (timeout, no decision, bad arguments) goes to stderr with a
+   non-zero exit; losing a TCP bind race (EADDRINUSE) exits with the
+   dedicated code the launcher retries on.
 
-     MDECIDED pid=<me> values=<bits> rounds=<csv> frames=.. bytes=.. batches=.. records=..
-
-   line.  Any failure (timeout, no decision, bad arguments) goes to
-   stderr with a non-zero exit; losing a TCP bind race (EADDRINUSE) exits
-   with the dedicated code the launcher retries on.
-
-   Crash recovery (single-instance only): --wal-dir makes the node keep a
+   Crash recovery (single agreement only): --wal-dir makes the node keep a
    durable write-ahead log; --recover replays it and rejoins the cluster
-   mid-flight, printing a
-
-     RECOVERED pid=<me> records=<k> wal_bytes=<b> replay_s=<s>
-
-   line before the DECIDED line; --kill-at coin:R|round:R makes the node
-   SIGKILL itself at that milestone (the supervisor's chaos trigger).
-
-   With --rsm it runs one replica of the pipelined atomic-broadcast log
-   instead: the workload is derived from the pid (--rsm-txs transactions
-   of --rsm-tx-bytes each), and on committing all --rsm-epochs epochs it
-   prints one
-
-     RSMLOG pid=<me> epochs=<e> txs=<k> hash=<fnv64> frames=.. bytes=..
-
-   line; the launcher compares the log digests across replicas. *)
+   mid-flight; --kill-at coin:R|round:R makes the node SIGKILL itself at
+   that milestone (the supervisor's chaos trigger). *)
 
 module Types = Bca_core.Types
 module Value = Bca_util.Value
@@ -45,7 +33,6 @@ module Batcher = Bca_transport.Batcher
 let usage = "bca_node --stack S --n N --t T --me I --seed SEED --inputs BITS \
              --transport unix|tcp --addrs a0,a1,... [--eps E] [--timeout S] [--linger S] \
              [--instances B] [--batch-records R] [--batch-bytes BY] \
-             [--sndbuf BY] [--rcvbuf BY] [--no-coalesce] \
              [--wal-dir DIR] [--recover] [--kill-at coin:R|round:R] \
              [--rsm] [--rsm-epochs E] [--rsm-window W] [--rsm-batch-txs K] \
              [--rsm-batch-bytes BY] [--rsm-txs K] [--rsm-tx-bytes BY]"
@@ -106,9 +93,6 @@ let () =
   let instances = ref 1 in
   let batch_records = ref 64 in
   let batch_bytes = ref (32 * 1024) in
-  let sndbuf = ref 0 in
-  let rcvbuf = ref 0 in
-  let no_coalesce = ref false in
   let wal_dir = ref "" in
   let recover = ref false in
   let kill_at = ref "" in
@@ -134,9 +118,6 @@ let () =
       ("--instances", Arg.Set_int instances, "Concurrent agreement instances (default 1)");
       ("--batch-records", Arg.Set_int batch_records, "Flush a batch at this many records");
       ("--batch-bytes", Arg.Set_int batch_bytes, "... or at this many record bytes");
-      ("--sndbuf", Arg.Set_int sndbuf, "SO_SNDBUF for every socket (0 = kernel default)");
-      ("--rcvbuf", Arg.Set_int rcvbuf, "SO_RCVBUF for every socket (0 = kernel default)");
-      ("--no-coalesce", Arg.Set no_coalesce, "Write frame-at-a-time (per-message baseline)");
       ("--wal-dir", Arg.Set_string wal_dir, "Keep a durable write-ahead log in this directory");
       ("--recover", Arg.Set recover, "Replay the WAL and rejoin the cluster mid-flight");
       ("--kill-at", Arg.Set_string kill_at,
@@ -182,75 +163,38 @@ let () =
     | "tcp" -> Array.of_list (List.map parse_tcp_addr addr_list)
     | other -> die "unknown transport %S (expected unix or tcp)" other
   in
-  match Cluster.parse_stack ~eps:!eps !stack with
-  | Error e -> die "%s" e
-  | Ok spec ->
-    let cfg = Types.cfg ~n:!n ~t:!t in
-    let opt r = if !r > 0 then Some !r else None in
-    let net =
-      try
-        Transport.Socket.endpoint ~coalesce:(not !no_coalesce) ?sndbuf_bytes:(opt sndbuf)
-          ?rcvbuf_bytes:(opt rcvbuf) ~addrs:addr_arr ~me:!me ()
-      with Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
-        prerr_endline
-          (Printf.sprintf "bca_node: address in use binding node %d (lost the port race)" !me);
-        exit Cluster.addr_in_use_exit
-    in
-    let result =
-      if !rsm then begin
-        let batch =
-          { Bca_rsm.Rsm.max_txs = !rsm_batch_txs; max_bytes = !rsm_batch_bytes }
-        in
-        let params =
-          Bca_rsm.Rsm.mk_params ~cfg ~coin_seed:!seed ~epochs:!rsm_epochs
-            ~window:!rsm_window ~batch ()
-        in
-        (* every replica submits the whole cluster workload: commit-time
-           dedup makes each transaction commit exactly once, and no
-           transaction is censored just because its origin replica's
-           proposals kept losing the ACS inclusion race (a late-starting
-           process in a short fixed-length log) *)
-        let txs =
-          List.concat
-            (List.init !n (fun pid ->
-                 Cluster.rsm_workload ~pid ~count:!rsm_txs ~tx_bytes:!rsm_tx_bytes))
-        in
-        Result.map
-          (fun d -> `Rsm d)
-          (Cluster.run_rsm_node ~timeout_s:!timeout ~linger_s:!linger params ~txs ~net)
-      end
-      else if multi then begin
-        let policy =
-          try Ok (Batcher.policy ~max_records:!batch_records ~max_bytes:!batch_bytes ())
-          with Invalid_argument e -> Error e
-        in
-        match policy with
-        | Error e -> Error e
-        | Ok policy ->
-          Result.map
-            (fun d -> `Multi d)
-            (Cluster.run_node_multi ~seed:!seed ~timeout_s:!timeout ~linger_s:!linger ~policy
-               spec ~cfg ~instances:!instances ~net)
-      end
-      else begin
-        let input_arr = Array.init !n (fun i -> Value.of_bool (!inputs.[i] = '1')) in
-        let tracer =
-          if !kill_at = "" then Bca_obs.Trace.null
-          else kill_tracer ~me:!me (parse_kill_at !kill_at)
-        in
-        let wal_dir = if !wal_dir = "" then None else Some !wal_dir in
-        Result.map
-          (fun d -> `Single d)
-          (Cluster.run_node ~seed:!seed ~timeout_s:!timeout ~linger_s:!linger ~tracer
-             ?wal_dir ~recover:!recover ~on_recover:Cluster.print_recovered spec ~cfg
-             ~inputs:input_arr ~net)
-      end
-    in
-    net.Transport.close ();
-    (match result with
-    | Ok (`Single d) -> Cluster.print_decision d
-    | Ok (`Multi d) -> Cluster.print_multi_decision d
-    | Ok (`Rsm d) -> Cluster.print_rsm_decision d
-    | Error e ->
-      prerr_endline ("bca_node: " ^ e);
-      exit 1)
+  let spec = match Cluster.parse_stack ~eps:!eps !stack with Ok s -> s | Error e -> die "%s" e in
+  let job =
+    if !rsm then
+      Cluster.Rsm_log
+        { epochs = !rsm_epochs;
+          window = !rsm_window;
+          batch = { Bca_rsm.Rsm.max_txs = !rsm_batch_txs; max_bytes = !rsm_batch_bytes };
+          txs_per_node = !rsm_txs;
+          tx_bytes = !rsm_tx_bytes }
+    else if multi then
+      match Batcher.policy ~max_records:!batch_records ~max_bytes:!batch_bytes () with
+      | policy -> Cluster.Aba_many { spec; instances = !instances; policy }
+      | exception Invalid_argument e -> die "%s" e
+    else
+      Cluster.Aba_one { spec; inputs = Array.init !n (fun i -> Value.of_bool (!inputs.[i] = '1')) }
+  in
+  let tracer =
+    if !kill_at = "" then Bca_obs.Trace.null else kill_tracer ~me:!me (parse_kill_at !kill_at)
+  in
+  let net =
+    try Transport.Socket.endpoint ~addrs:addr_arr ~me:!me ()
+    with Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
+      prerr_endline
+        (Printf.sprintf "bca_node: address in use binding node %d (lost the port race)" !me);
+      exit Cluster.addr_in_use_exit
+  in
+  match
+    Cluster.serve ~timeout_s:!timeout ~linger_s:!linger ~tracer
+      ?wal_dir:(if !wal_dir = "" then None else Some !wal_dir)
+      ~recover:!recover ~seed:!seed ~cfg:(Types.cfg ~n:!n ~t:!t) job ~net
+  with
+  | Ok r -> print_endline (Cluster.report_to_line r)
+  | Error e ->
+    prerr_endline ("bca_node: " ^ e);
+    exit 1

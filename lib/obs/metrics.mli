@@ -83,7 +83,7 @@ val rx : t -> int * int
 
 val resends : t -> int * int
 (** Crash-recovery history resends (op ["resend"] from
-    [Bca_transport.Cluster.run_node]): how many HELLO-triggered (or
+    [Bca_transport.Cluster.serve]): how many HELLO-triggered (or
     rejoin-initiated) full-history replays happened, and the protocol
     bytes they pushed. *)
 

@@ -13,7 +13,7 @@
 
     Because every stack is a deterministic state machine, the {!Meta} +
     {!Recv} prefix alone reconstructs the node's exact pre-crash state: the
-    recovery driver ([Bca_transport.Cluster.run_node]) rebuilds the same
+    recovery driver ([Bca_transport.Cluster.serve]) rebuilds the same
     protocol assembly from the logged seed and re-applies the logged
     deliveries in order, regenerating - and cross-checking against the
     {!Sent} records - every frame the node ever put on the wire.  {!Sent}

@@ -1,42 +1,38 @@
-(** Run the six (G)BCA stacks to decision over a real transport.
+(** Run the six (G)BCA stacks and the replicated log over real transports.
 
-    All entry points are built on [Bca_core.Aba.run_custom] /
+    Every binary entry point is built on [Bca_core.Aba.run_custom] /
     [Aba.run_custom_many] (the cluster assembly - coin seeding,
     threshold-key setup, per-party construction - is byte-for-byte the one
-    the simulator uses; only message movement differs):
+    the simulator uses; only message movement differs).  Three workloads -
+    ABA x 1 (one agreement), ABA x B (B pipelined agreements over one
+    endpoint, frames batched per destination by {!Batcher}) and the
+    replicated log ({!Bca_rsm.Rsm}) - share one node runtime:
 
-    - {!run_loopback}: the whole cluster in one process over
-      {!Transport.Loopback}, every message encoded and decoded on each hop.
+    - {b Loopback}: {!run_loopback}, {!run_loopback_multi},
+      {!run_rsm_loopback} and {!run_rsm_loadgen_loopback} run the whole
+      cluster in one process over {!Transport.Loopback}, every message
+      encoded and decoded on each hop, through one run loop.
       {b Determinism contract}: for a given [seed] the run is bit-identical
-      to [Bca_core.Aba.run ~seed] - same decision values, commit rounds,
-      delivery count - because the loopback hub replays the netsim random
-      scheduler's exact RNG stream over an identically-ordered frame pool
-      (checked in [test/test_transport.ml]; DESIGN.md section 11).
-    - {!run_loopback_multi}: B independent instances of the same stack
-      interleaved round-robin in one process.  Each instance owns its hub
-      (and RNG), so instance [k] is bit-identical to [run_loopback
-      ~seed:(instance_seed ~seed k)] run alone.
-    - {!run_node}: ONE party, driven over a socket {!Transport.t} - what
-      [bca_node] executes, one process per party.
-    - {!run_node_multi}: one party of B concurrent instances, multiplexed
-      over ONE endpoint with per-destination frame batching ({!Batcher}) -
-      the pipelined executor [bca_node --instances] runs.
-    - {!run_inproc_cluster}: all [n] multi-instance parties in one process
-      over real sockets - the cluster-throughput bench harness.
-    - {!spawn_cluster} / {!spawn_cluster_multi}: the launchers - fork [n]
-      [bca_node] processes over Unix-domain sockets or TCP, collect their
-      decisions, check agreement.
-    - {!spawn_cluster_supervised}: the crash-recovery launcher - every node
-      keeps a durable WAL ([Bca_recovery.Wal]), and a node that dies
-      (SIGKILL included) is restarted with [--recover], replays its WAL and
-      rejoins the live cluster mid-flight.  See DESIGN.md section 13.
+      to the netsim run of the same seed ([Bca_core.Aba.run ~seed], or
+      [Async_exec.run] under the random scheduler for the log) - same
+      decisions, commit rounds, delivery count - because the hub replays
+      the netsim random scheduler's exact RNG stream over an
+      identically-ordered frame pool (DESIGN.md section 11).
+    - {b Node}: {!serve} drives ONE node of any workload over a socket
+      {!Transport.t} - what [bca_node] executes, one process per node.
+    - {b In-process}: {!run_inproc_cluster} and {!run_rsm_loadgen} run all
+      [n] nodes in one process over real sockets - the bench harnesses.
+    - {b Launcher}: {!spawn} forks [n] [bca_node] processes, gathers one
+      report line from each ({!report_to_line}) and checks agreement; with
+      a WAL dir it supervises them, restarting a dead node, which replays
+      its WAL and rejoins mid-flight (DESIGN.md section 13).
 
-    {b Rejoin control plane.}  Nodes exchange two out-of-band control
-    frames under a dedicated codec id (0xC7): [HELLO], broadcast by a
-    recovered node, is answered by re-sending the full per-destination
-    frame history to the sender (safe because every stack is idempotent
-    per sender); [BYE] announces a decision, and a lingering node that has
-    collected n-1 BYEs exits early instead of sitting out its linger. *)
+    {b Control plane.}  Nodes exchange two out-of-band control frames
+    under a dedicated codec id (0xC7): [HELLO], broadcast by a recovered
+    node, is answered by re-sending the full per-destination frame history
+    to the sender (safe because every stack is idempotent per sender);
+    [BYE] announces termination, and a lingering node that has collected
+    n-1 BYEs exits early instead of sitting out its linger. *)
 
 val parse_stack : ?eps:float -> string -> (Bca_core.Aba.spec, string) result
 (** [crash-strong], [crash-weak], [crash-local], [byz-strong], [byz-weak],
@@ -70,6 +66,17 @@ val instance_inputs : seed:int64 -> n:int -> int -> Bca_util.Value.t array
 (** Input vector of instance [k]: [n] coin flips from an RNG seeded off
     {!instance_seed}. *)
 
+val rsm_log_hash : Bca_rsm.Rsm.tx list -> int64
+(** Digest of a committed log ({!Bca_rsm.Mvba.digest} over the netstring
+    encoding) - what log nodes report and launchers compare. *)
+
+val rsm_workload : pid:int -> count:int -> tx_bytes:int -> Bca_rsm.Rsm.tx list
+(** The deterministic per-node workload every [bca_node --rsm] process
+    regenerates from its spawn parameters: [count] transactions, globally
+    unique by pid and index, padded to [tx_bytes]. *)
+
+(** {1 Loopback} *)
+
 val run_loopback :
   ?seed:int64 ->
   Bca_core.Aba.spec ->
@@ -92,19 +99,28 @@ val run_loopback_multi :
     are bit-identical to solo {!run_loopback} runs of the same derived
     seed - the executor-correctness oracle for the batched socket path. *)
 
-type decision = {
-  d_pid : int;
-  d_value : Bca_util.Value.t;
-  d_round : int;  (** commit round *)
-  d_frames : int;  (** frames this node sent *)
-  d_bytes : int;  (** bytes this node sent *)
+type rsm_loop_result = {
+  rl_logs : Bca_rsm.Rsm.tx list array;  (** per-replica committed log *)
+  rl_deliveries : int;
+  rl_stats : net_stats;
 }
 
-val print_decision : decision -> unit
-(** The one-line [DECIDED pid=... value=... round=... frames=... bytes=...]
-    record [bca_node] emits on stdout and {!spawn_cluster} parses back. *)
+val run_rsm_loopback :
+  ?seed:int64 ->
+  Bca_rsm.Rsm.params ->
+  txs:(int -> Bca_rsm.Rsm.tx list) ->
+  (rsm_loop_result, string) result
+(** Single-process replicated log over the in-memory hub: replica [pid]
+    submits [txs pid] right after construction, then every epoch's ACS
+    runs with each hop round-tripping through the codec-7 wire format.
+    Same determinism contract as {!run_loopback}. *)
 
-val parse_decision : string -> decision option
+(** {1 The per-node report}
+
+    Every node of every workload ends with one {!report}; [bca_node]
+    prints it as one line ({!report_to_line}) and the launcher parses it
+    back ({!report_of_line}).  The workloads differ only in the agreement
+    {!key}. *)
 
 type recovery_info = {
   ri_pid : int;
@@ -113,89 +129,115 @@ type recovery_info = {
   ri_replay_s : float;  (** wall time spent loading and replaying the WAL *)
 }
 
-val print_recovered : recovery_info -> unit
-(** The one-line [RECOVERED pid=... records=... wal_bytes=... replay_s=...]
-    record a recovering [bca_node] emits before its [DECIDED] line; the
-    supervisor parses it back. *)
+(** What every node must agree on. *)
+type key =
+  | Value of Bca_util.Value.t  (** ABA x 1: the decision *)
+  | Values of Bca_util.Value.t array  (** ABA x B: one decision per instance *)
+  | Log of { epochs : int; txs : int; hash : int64 }
+      (** the log: committed epochs, transactions and {!rsm_log_hash} *)
 
-val parse_recovered : string -> recovery_info option
+val key_values : key -> Bca_util.Value.t array
+(** The decisions of a key, per instance ([[||]] for a log). *)
 
-val run_node :
-  ?seed:int64 ->
+val key_to_string : key -> string
+
+type report = {
+  rp_pid : int;
+  rp_key : key;
+  rp_rounds : int array;  (** commit round per instance; [[||]] for a log *)
+  rp_frames : int;  (** frames this node sent (batch frames for ABA x B) *)
+  rp_bytes : int;  (** bytes this node sent *)
+  rp_batches : int;  (** batch frames assembled (ABA x B, else 0) *)
+  rp_records : int;  (** protocol messages carried in them *)
+  rp_recovery : recovery_info option;  (** set when this node replayed its WAL *)
+}
+
+val report_to_line : report -> string
+(** [REPORT pid=.. frames=.. bytes=.. batches=.. records=.. <key>
+    [recovered=<records>:<wal bytes>:<replay s>] end], where [<key>] is
+    [value=<0|1> rounds=<r>], [values=<bits> rounds=<csv>] or
+    [epochs=<e> txs=<k> hash=<16 hex digits>]. *)
+
+val report_of_line : string -> report option
+(** Inverse of {!report_to_line}; [None] for any other line - a
+    non-binary value, a rounds count that does not match the values, an
+    unknown or repeated field, or a line cut short. *)
+
+(** {1 One node over a socket transport} *)
+
+(** A workload and its parameters, as every node of the cluster rebuilds
+    it.  For the binary workloads, every process builds the same assembly
+    from [seed]: ABA x 1 needs the full cluster's [inputs]; ABA x B
+    derives its seeds and inputs per {!instance_seed} /
+    {!instance_inputs}.  The log's coin is seeded with [seed], and every
+    replica submits the union of {!rsm_workload} over all pids
+    ([txs_per_node] each): commit-time deduplication makes each
+    transaction commit exactly once. *)
+type job =
+  | Aba_one of { spec : Bca_core.Aba.spec; inputs : Bca_util.Value.t array }
+  | Aba_many of { spec : Bca_core.Aba.spec; instances : int; policy : Batcher.policy }
+  | Rsm_log of {
+      epochs : int;
+      window : int;
+      batch : Bca_rsm.Rsm.batch_policy;
+      txs_per_node : int;
+      tx_bytes : int;
+    }
+
+val serve :
   ?timeout_s:float ->
   ?linger_s:float ->
   ?tracer:Bca_obs.Trace.t ->
   ?wal_dir:string ->
   ?recover:bool ->
-  ?on_recover:(recovery_info -> unit) ->
-  Bca_core.Aba.spec ->
+  seed:int64 ->
   cfg:Bca_core.Types.cfg ->
-  inputs:Bca_util.Value.t array ->
+  job ->
   net:Transport.t ->
-  (decision, string) result
-(** Drive party [net.me] to termination over [net]: broadcast its initial
-    sends, then deliver inbound frames (and its own self-addressed
-    messages, FIFO) to the protocol node, shipping every emitted message
-    back out encoded.  [inputs] must be the full cluster's input vector -
-    determinism of the assembly requires every process to build the same
-    cluster.  After terminating, broadcasts a BYE, flushes the outbound
-    queues and keeps answering peers for [linger_s] (default 1.0) seconds
-    - or until all n-1 peers BYE'd - so laggards can finish; gives up
-    after [timeout_s] (default 30.0) seconds without termination.  Does
-    not close [net].
+  (report, string) result
+(** Drive node [net.me] of [job] to termination over [net], then close
+    [net].  The node makes its initial sends, then runs scheduling slices
+    - deliver its self-addressed messages (FIFO, never the network), take
+    one inbound frame, ship what it emitted - until the workload
+    terminates or [timeout_s] (default 30) elapses.  It then broadcasts
+    BYE, flushes, and keeps answering peers for [linger_s] (default 1)
+    seconds, or until all n-1 peers BYE'd, so laggards can finish.
 
-    With [wal_dir] the node keeps a durable write-ahead log
-    ([Bca_recovery.Wal.file_path ~dir ~me]): its meta header, every
-    delivered frame (fsync'd {e before} it is applied - otherwise a
-    post-crash replay could recompute this node's sends under a delivery
-    order the cluster never saw, an honest equivocation), every sent
-    frame's intent, and milestone notes.  With [recover] the WAL is loaded
-    first: the node replays the logged deliveries against the freshly
-    built assembly (cross-checking regenerated sends against the logged
-    intents), reopens the WAL at its valid prefix, calls [on_recover] with
-    the replay cost, then rejoins the live cluster - broadcasting HELLO
-    (peers answer with their history) and re-sending its own regenerated
-    history. *)
+    ABA x 1 only: [tracer] observes the assembly (the kill trigger of
+    [bca_node --kill-at]).  With [wal_dir] the node keeps a durable
+    write-ahead log ([Bca_recovery.Wal.file_path ~dir ~me]): its meta
+    header, every delivered frame (fsync'd {e before} it is applied -
+    otherwise a post-crash replay could recompute this node's sends under
+    a delivery order the cluster never saw, an honest equivocation), every
+    sent frame's intent, and milestone notes.  With [recover] the WAL is
+    loaded first: the node replays the logged deliveries against the
+    freshly built assembly (cross-checking regenerated sends against the
+    logged intents), reopens the WAL at its valid prefix, records the
+    replay cost in [rp_recovery], then rejoins the live cluster -
+    broadcasting HELLO and re-sending its own regenerated history.
+    [Error] for [wal_dir]/[recover] with another workload. *)
 
-(** {1 Pipelined multi-instance execution} *)
+(** {1 Cluster results} *)
 
-type multi_decision = {
-  md_pid : int;
-  md_values : Bca_util.Value.t array;  (** per instance *)
-  md_rounds : int array;  (** per-instance commit round of this party *)
-  md_frames : int;  (** frames this node sent (batch frames, not records) *)
-  md_bytes : int;  (** bytes this node sent *)
-  md_batches : int;  (** batch frames assembled *)
-  md_records : int;  (** protocol messages carried in them *)
+type cluster_result = {
+  c_key : key;  (** the key every node reported *)
+  c_rounds : int array;
+      (** per-pid commit round (ABA x 1); per-instance maximum over nodes
+          (ABA x B); empty for a log *)
+  c_stats : net_stats;  (** cluster-wide traffic totals *)
+  c_batches : int;
+  c_records : int;
+  c_restarts : int;  (** node restarts the supervisor performed *)
+  c_recoveries : recovery_info list;  (** one per node that reported a WAL replay *)
+  c_wal_bytes : int;  (** bytes across all WAL files when the run ended *)
 }
 
-val print_multi_decision : multi_decision -> unit
-(** The one-line [MDECIDED pid=... values=<bitstring> rounds=<csv> ...]
-    record [bca_node --instances] emits and {!spawn_cluster_multi} parses
-    back. *)
+(** {1 In-process socket clusters (bench harnesses)}
 
-val parse_multi_decision : string -> multi_decision option
-
-val run_node_multi :
-  ?seed:int64 ->
-  ?timeout_s:float ->
-  ?linger_s:float ->
-  ?tracer:Bca_obs.Trace.t ->
-  ?policy:Batcher.policy ->
-  Bca_core.Aba.spec ->
-  cfg:Bca_core.Types.cfg ->
-  instances:int ->
-  net:Transport.t ->
-  (multi_decision, string) result
-(** Drive party [net.me] of [instances] concurrent instances (seeds and
-    inputs derived per {!instance_seed} / {!instance_inputs}) over one
-    endpoint.  Outbound messages from all instances are batched per
-    destination under [policy] (default [Batcher.policy ()]) and flushed
-    at the end of every scheduling slice; inbound batch frames are
-    validated whole, then demultiplexed by instance id.  Decides when every
-    instance has terminated; then lingers as {!run_node} does. *)
-
-(** {1 In-process socket cluster (bench harness)} *)
+    All [n] nodes in ONE process over real sockets ([`Unix]: a fresh
+    temporary directory; [`Tcp]: loopback on picked ports, retried on a
+    lost bind race), stepped round-robin with the same workload slices
+    {!serve} runs, and checked for agreement on their reports. *)
 
 type inproc_result = {
   ir_values : Bca_util.Value.t array;  (** per-instance agreed value *)
@@ -212,199 +254,16 @@ val run_inproc_cluster :
   ?seed:int64 ->
   ?policy:Batcher.policy ->
   ?coalesce:bool ->
-  ?sndbuf_bytes:int ->
-  ?rcvbuf_bytes:int ->
   ?timeout_s:float ->
   Bca_core.Aba.spec ->
   cfg:Bca_core.Types.cfg ->
   instances:int ->
   transport:[ `Unix | `Tcp ] ->
   (inproc_result, string) result
-(** All [n] multi-instance parties in ONE process over real sockets
-    ([`Unix]: a fresh temporary directory; [`Tcp]: loopback on picked
-    ports, retried on a lost bind race), stepped round-robin to decision.
-    One shared assembly keeps setup cheap and lets the harness check
-    agreement directly on the party states.  This is the cluster-throughput
-    bench harness: [policy]/[coalesce]/[sndbuf_bytes]/[rcvbuf_bytes] select
-    the batched hot path (defaults) or the per-message baseline
+(** ABA x [instances], all nodes sharing one assembly - the
+    cluster-throughput bench harness: [policy]/[coalesce] select the
+    batched hot path (defaults) or the per-message baseline
     ([policy = Batcher.immediate], [coalesce:false]). *)
-
-(** {1 Multi-process launchers} *)
-
-type cluster_result = {
-  c_value : Bca_util.Value.t;
-  c_rounds : int array;  (** per-pid commit round *)
-  c_stats : net_stats;  (** cluster-wide traffic totals *)
-}
-
-val addr_in_use_exit : int
-(** Exit code (3) [bca_node] reserves for a bind failure (EADDRINUSE):
-    the launchers see it and retry the whole spawn with fresh ports, so
-    parallel CI runs cannot race each other's rendezvous. *)
-
-val spawn_cluster :
-  ?timeout_s:float ->
-  ?pick_ports:(attempt:int -> int array) ->
-  node_exe:string ->
-  stack:string ->
-  eps:float ->
-  cfg:Bca_core.Types.cfg ->
-  seed:int64 ->
-  inputs:Bca_util.Value.t array ->
-  transport:[ `Unix | `Tcp ] ->
-  unit ->
-  (cluster_result, string) result
-(** Fork one [node_exe] process per party ([`Unix]: sockets in a fresh
-    temporary directory, removed afterwards; [`Tcp]: loopback TCP on
-    {!Transport.Socket.pick_tcp_ports} ports), parse each node's [DECIDED]
-    line, and check they all decided the same value.  [Error] on
-    disagreement (a protocol bug), on any node exiting without deciding,
-    and on [timeout_s] (default 60.0) elapsing - surviving processes are
-    killed.  A TCP spawn where a node exits {!addr_in_use_exit} (lost the
-    port race) is retried with fresh ports, up to 3 attempts.
-    [pick_ports] overrides the port rendezvous per attempt (1-based) - a
-    test hook for forcing and then resolving bind collisions. *)
-
-(** {1 Supervised crash-recovery launcher} *)
-
-type supervised_result = {
-  s_result : cluster_result;
-  s_restarts : int;  (** node restarts the supervisor performed *)
-  s_recoveries : recovery_info list;  (** one per successful WAL replay *)
-  s_wal_bytes : int;  (** bytes across all WAL files when the run ended *)
-}
-
-val wal_dir_bytes : wal_dir:string -> n:int -> int
-(** Total size of the [wal-<pid>.log] files currently in [wal_dir]. *)
-
-val spawn_cluster_supervised :
-  ?timeout_s:float ->
-  ?max_restarts:int ->
-  ?backoff_base_s:float ->
-  ?backoff_cap_s:float ->
-  ?kill_at:int * string ->
-  node_exe:string ->
-  stack:string ->
-  eps:float ->
-  cfg:Bca_core.Types.cfg ->
-  seed:int64 ->
-  inputs:Bca_util.Value.t array ->
-  wal_dir:string ->
-  transport:[ `Unix | `Tcp ] ->
-  unit ->
-  (supervised_result, string) result
-(** {!spawn_cluster} with crash recovery: every node runs with
-    [--wal-dir wal_dir] and a linger as long as [timeout_s] (the BYE
-    exchange ends it early), and the launcher supervises the children - a
-    node that dies (killed by a signal, exiting non-zero, or exiting
-    without a [DECIDED] line) is restarted with capped-exponential backoff
-    ([backoff_base_s], default 0.25 s, doubling per restart of that node
-    up to [backoff_cap_s], default 2 s), at most [max_restarts] (default
-    4) times per node, recovering from its WAL when one exists.
-
-    [kill_at = (victim, trigger)] arms node [victim] with
-    [--kill-at trigger] (e.g. ["coin:1"]: SIGKILL itself at its first
-    access of round 1's coin - the worst possible moment, mid-round with
-    the binding property in flight); the restart argv strips the flag so
-    the recovered process does not re-fire while replaying the same coin
-    access.  [wal_dir] must exist and persist across restarts; the caller
-    owns it. *)
-
-type multi_cluster_result = {
-  mc_values : Bca_util.Value.t array;  (** per-instance agreed value *)
-  mc_rounds : int array;  (** per-instance max commit round over nodes *)
-  mc_stats : net_stats;  (** cluster-wide traffic totals (batch frames) *)
-  mc_batches : int;
-  mc_records : int;
-}
-
-val spawn_cluster_multi :
-  ?timeout_s:float ->
-  ?policy:Batcher.policy ->
-  node_exe:string ->
-  stack:string ->
-  eps:float ->
-  cfg:Bca_core.Types.cfg ->
-  seed:int64 ->
-  instances:int ->
-  transport:[ `Unix | `Tcp ] ->
-  unit ->
-  (multi_cluster_result, string) result
-(** {!spawn_cluster} for the pipelined executor: each node runs
-    [node_exe --instances B] (inputs derived in-process, so none are passed),
-    emits an [MDECIDED] line, and the launcher checks per-instance
-    agreement across nodes.  Same timeout, cleanup and port-race retry
-    behavior as {!spawn_cluster}. *)
-
-(** {1 Replicated log (RSM) over real transports}
-
-    The pipelined atomic-broadcast log ({!Bca_rsm.Rsm}) under the same
-    three message-movement regimes as the binary stacks: the seeded
-    loopback hub ({!run_rsm_loopback}, bit-identical to the netsim run at
-    the same seed - the windowed executor's correctness oracle), an
-    in-process socket cluster driven by an open-loop load generator
-    ({!run_rsm_loadgen} - the bench harness), and forked
-    [bca_node --rsm] processes ({!spawn_rsm_cluster}).  Replicas compare
-    committed logs by FNV-1a digest ({!rsm_log_hash}). *)
-
-val rsm_log_hash : Bca_rsm.Rsm.tx list -> int64
-(** Digest of a committed log ({!Bca_rsm.Mvba.digest} over the netstring
-    encoding) - what nodes print and launchers compare. *)
-
-val rsm_workload : pid:int -> count:int -> tx_bytes:int -> Bca_rsm.Rsm.tx list
-(** The deterministic per-node workload every [bca_node --rsm] process
-    regenerates from its spawn parameters: [count] transactions, globally
-    unique by pid and index, padded to [tx_bytes]. *)
-
-type rsm_loop_result = {
-  rl_logs : Bca_rsm.Rsm.tx list array;  (** per-replica committed log *)
-  rl_deliveries : int;
-  rl_stats : net_stats;
-}
-
-val run_rsm_loopback :
-  ?seed:int64 ->
-  Bca_rsm.Rsm.params ->
-  txs:(int -> Bca_rsm.Rsm.tx list) ->
-  (rsm_loop_result, string) result
-(** Single-process replicated log over the in-memory hub: replica [pid]
-    submits [txs pid] right after construction, then every epoch's ACS
-    runs with each hop round-tripping through the codec-7 wire format.
-    Same determinism contract as {!run_loopback}: for a given [seed] the
-    per-replica logs are bit-identical to the netsim run
-    ([Async_exec.run] under [random_scheduler (Rng.create seed)]) of the
-    same parameters and submissions. *)
-
-type rsm_decision = {
-  r_pid : int;
-  r_epochs : int;  (** epochs committed *)
-  r_txs : int;  (** transactions in the committed log *)
-  r_hash : int64;  (** FNV-1a digest of the whole log *)
-  r_frames : int;  (** frames this node sent *)
-  r_bytes : int;  (** bytes this node sent *)
-}
-
-val print_rsm_decision : rsm_decision -> unit
-(** The one-line [RSMLOG pid=... epochs=... txs=... hash=... frames=...
-    bytes=...] record [bca_node --rsm] emits on stdout and
-    {!spawn_rsm_cluster} parses back. *)
-
-val parse_rsm_decision : string -> rsm_decision option
-
-val run_rsm_node :
-  ?timeout_s:float ->
-  ?linger_s:float ->
-  Bca_rsm.Rsm.params ->
-  txs:Bca_rsm.Rsm.tx list ->
-  net:Transport.t ->
-  (rsm_decision, string) result
-(** Drive replica [net.me] of the replicated log to termination over
-    [net]: submit [txs], broadcast the initial epoch messages, then
-    deliver inbound frames (self-copies FIFO through a local queue) until
-    all [epochs] commit.  After terminating, broadcasts a BYE and lingers
-    as {!run_node} does - a terminated replica's past frames are all a
-    laggard needs, the sockets just have to stay open long enough to
-    drain.  Does not close [net]. *)
 
 type rsm_load = {
   lg_rate : float;  (** target submissions/s cluster-wide; [<= 0]: preload all *)
@@ -438,21 +297,15 @@ val run_rsm_loadgen_loopback :
     empty) trailing epochs. *)
 
 val run_rsm_loadgen :
-  ?coalesce:bool ->
-  ?sndbuf_bytes:int ->
-  ?rcvbuf_bytes:int ->
   ?timeout_s:float ->
   ?hop_s:float ->
   Bca_rsm.Rsm.params ->
   load:rsm_load ->
   transport:[ `Unix | `Tcp ] ->
   (rsm_load_result, string) result
-(** {!run_rsm_loadgen_loopback} over real sockets: all [n] replicas in
-    one process ([`Unix]: a fresh temporary directory; [`Tcp]: loopback
-    on picked ports, retried on a lost bind race), stepped round-robin
-    with open-loop injection interleaved.  Checks log agreement across
-    replicas (by digest) before reporting.  This is the [bca loadgen] and
-    bench-[rsm] harness.
+(** {!run_rsm_loadgen_loopback} over real sockets, with injection
+    interleaved between sweeps; replicas must agree on the log digest.
+    This is the [bca loadgen] and bench-[rsm] harness.
 
     [hop_s] (default 0) emulates one-way network latency netem-style:
     each replica's outbound frames are held [hop_s] seconds before they
@@ -464,34 +317,46 @@ val run_rsm_loadgen :
     a sequential log pays serially.  Reported commit latencies include
     the emulated hops. *)
 
-type rsm_cluster_result = {
-  rc_epochs : int;
-  rc_txs : int;  (** committed transactions (identical at every node) *)
-  rc_hash : int64;  (** the common log's digest *)
-  rc_stats : net_stats;
-}
+(** {1 Multi-process launcher} *)
 
-val spawn_rsm_cluster :
+val addr_in_use_exit : int
+(** Exit code (3) [bca_node] reserves for a bind failure (EADDRINUSE):
+    the launcher sees it and retries the whole spawn with fresh ports, so
+    parallel CI runs cannot race each other's rendezvous. *)
+
+val spawn :
   ?timeout_s:float ->
   ?pick_ports:(attempt:int -> int array) ->
+  ?wal_dir:string ->
+  ?max_restarts:int ->
+  ?kill_at:int * string ->
   node_exe:string ->
   cfg:Bca_core.Types.cfg ->
   seed:int64 ->
-  epochs:int ->
-  window:int ->
-  batch_txs:int ->
-  batch_bytes:int ->
-  txs_per_node:int ->
-  tx_bytes:int ->
   transport:[ `Unix | `Tcp ] ->
-  unit ->
-  (rsm_cluster_result, string) result
-(** Fork one [node_exe --rsm] process per replica, parse each node's
-    [RSMLOG] line, and check every replica committed the identical log
-    (same epoch count, transaction count and digest).  Every node submits
-    the whole derived workload ([n * txs_per_node] transactions, the
-    union of {!rsm_workload} over all pids): commit-time deduplication
-    makes each transaction commit exactly once, and no transaction is
-    censored when its origin replica keeps losing the ACS inclusion race
-    (a late-starting process in a short fixed-length log).  Same timeout,
-    cleanup and port-race retry behavior as {!spawn_cluster}. *)
+  job ->
+  (cluster_result, string) result
+(** Fork one [node_exe] process per node ([`Unix]: sockets in a fresh
+    temporary directory, removed afterwards; [`Tcp]: loopback TCP on
+    {!Transport.Socket.pick_tcp_ports} ports), parse each node's report
+    line, and check they all hold the same key.  [Error] on disagreement
+    (a protocol bug), on a node exiting without a report, and on
+    [timeout_s] (default 60) elapsing - surviving processes are killed.
+    A TCP spawn where a node exits {!addr_in_use_exit} (lost the port
+    race) is retried with fresh ports, up to 3 attempts.  [pick_ports]
+    overrides the port rendezvous per attempt (1-based) - a test hook for
+    forcing and then resolving bind collisions.
+
+    {b Supervision} applies exactly when [wal_dir] is given (ABA x 1
+    only: restarting a node without its WAL is an honest equivocation).
+    Every node then keeps its WAL in [wal_dir] and lingers as long as
+    [timeout_s] (the BYE exchange ends it early); a node that dies
+    (killed by a signal, exiting non-zero, or exiting without a report)
+    is restarted with capped-exponential backoff (0.25 s doubling to 2 s
+    per restart of that node), at most [max_restarts] (default 4) times,
+    with [--recover] once its WAL exists.  [kill_at = (victim, trigger)]
+    arms node [victim] with [--kill-at trigger] (e.g. ["coin:1"]: SIGKILL
+    itself at its first access of round 1's coin - mid-round, with the
+    binding property in flight); the recovering argv strips the flag so
+    replay does not re-fire.  [wal_dir] must exist and persist across
+    restarts; the caller owns it. *)

@@ -185,8 +185,6 @@ module Socket = struct
     s_tracing : bool;
     s_read_buf : Bytes.t;
     s_coalesce : bool;
-    s_sndbuf : int option;
-    s_rcvbuf : int option;
     s_max_body : int;
     s_max_queue : int;
     s_backoff_base : float;
@@ -302,21 +300,10 @@ module Socket = struct
     end
     | Idle | Connecting _ | Up _ | Dead -> ()
 
-  let set_bufsizes ?sndbuf_bytes ?rcvbuf_bytes fd =
-    (* best effort, like nodelay: a refused size is a tuning miss, not an
-       error the protocol can do anything about *)
-    (match sndbuf_bytes with
-    | Some b -> ( try Unix.setsockopt_int fd Unix.SO_SNDBUF b with Unix.Unix_error _ -> ())
-    | None -> ());
-    match rcvbuf_bytes with
-    | Some b -> ( try Unix.setsockopt_int fd Unix.SO_RCVBUF b with Unix.Unix_error _ -> ())
-    | None -> ()
-
   let start_connect s p ~now =
     let fd = Unix.socket (Unix.domain_of_sockaddr p.p_addr) Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     set_nodelay fd;
-    set_bufsizes ?sndbuf_bytes:s.s_sndbuf ?rcvbuf_bytes:s.s_rcvbuf fd;
     match Unix.connect fd p.p_addr with
     | () -> mark_up s p fd
     | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) ->
@@ -369,7 +356,6 @@ module Socket = struct
     | fd, _ ->
       Unix.set_nonblock fd;
       set_nodelay fd;
-      set_bufsizes ?sndbuf_bytes:s.s_sndbuf ?rcvbuf_bytes:s.s_rcvbuf fd;
       s.s_conns <- { c_fd = fd; c_reader = Wire.Reader.create ~max_body:s.s_max_body () } :: s.s_conns;
       trace s ~peer:(-1) ~op:"accept" ~bytes:0;
       accept_loop s
@@ -442,7 +428,7 @@ module Socket = struct
 
   let endpoint ?(tracer = Trace.null) ?(max_body = Wire.default_max_body)
       ?(max_queue_bytes = 1 lsl 20) ?(backoff_base_s = 0.01) ?(backoff_cap_s = 2.0)
-      ?(max_retries = 20) ?(coalesce = true) ?sndbuf_bytes ?rcvbuf_bytes ~addrs ~me () =
+      ?(max_retries = 20) ?(coalesce = true) ~addrs ~me () =
     (* a peer closing its end must surface as EPIPE on write (handled by the
        reconnect logic), not kill the process *)
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -462,7 +448,6 @@ module Socket = struct
     (match addr with
     | Unix.ADDR_INET _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true
     | Unix.ADDR_UNIX _ -> ());
-    set_bufsizes ?sndbuf_bytes ?rcvbuf_bytes listen_fd;
     Unix.bind listen_fd addr;
     Unix.listen listen_fd (max 8 (2 * n));
     let s =
@@ -488,8 +473,6 @@ module Socket = struct
         s_tracing = Trace.enabled tracer;
         s_read_buf = Bytes.create 65536;
         s_coalesce = coalesce;
-        s_sndbuf = sndbuf_bytes;
-        s_rcvbuf = rcvbuf_bytes;
         s_max_body = max_body;
         s_max_queue = max_queue_bytes;
         s_backoff_base = backoff_base_s;

@@ -116,8 +116,6 @@ module Socket : sig
     ?backoff_cap_s:float ->
     ?max_retries:int ->
     ?coalesce:bool ->
-    ?sndbuf_bytes:int ->
-    ?rcvbuf_bytes:int ->
     addrs:Unix.sockaddr array ->
     me:int ->
     unit ->
@@ -138,11 +136,9 @@ module Socket : sig
       Hot-path knobs: with [coalesce] (the default) a writable peer gets
       its whole pending span - every queued frame - in one [write]
       syscall; [coalesce:false] restores the seed's frame-at-a-time writes
-      (the bench's per-message baseline).  [sndbuf_bytes]/[rcvbuf_bytes]
-      set SO_SNDBUF/SO_RCVBUF on every socket (best effort; the kernel
-      rounds and caps), for workloads whose bursts outgrow the defaults.
-      TCP_NODELAY is always set on TCP sockets - the small-frame protocol
-      traffic must not sit out Nagle windows. *)
+      (the bench's per-message baseline).  TCP_NODELAY is always set on
+      TCP sockets - the small-frame protocol traffic must not sit out
+      Nagle windows. *)
 
   val unix_addrs : dir:string -> n:int -> Unix.sockaddr array
   (** [dir/node-<pid>.sock] for each pid. *)

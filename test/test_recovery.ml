@@ -272,28 +272,28 @@ let test_supervised_kill_recover_all_stacks () =
       let wal_dir = temp_dir "bca-sup" in
       Fun.protect ~finally:(fun () -> rm_rf wal_dir) @@ fun () ->
       match
-        Cluster.spawn_cluster_supervised ~timeout_s:60. ~kill_at:(1, "coin:1") ~node_exe
-          ~stack:name ~eps:0.25 ~cfg ~seed:20260808L ~inputs:(mixed_inputs cfg.Types.n)
-          ~wal_dir ~transport:`Unix ()
+        Cluster.spawn ~timeout_s:60. ~wal_dir ~kill_at:(1, "coin:1") ~node_exe ~cfg
+          ~seed:20260808L ~transport:`Unix
+          (Cluster.Aba_one { spec; inputs = mixed_inputs cfg.Types.n })
       with
       | Error e -> Alcotest.failf "%s: supervised cluster failed: %s" name e
       | Ok r ->
         Alcotest.(check bool)
           (Printf.sprintf "%s: the victim was restarted" name)
-          true (r.Cluster.s_restarts >= 1);
+          true (r.Cluster.c_restarts >= 1);
         Alcotest.(check bool)
           (Printf.sprintf "%s: the victim recovered through its WAL" name)
           true
           (List.exists
              (fun ri -> ri.Cluster.ri_pid = 1 && ri.Cluster.ri_records > 0)
-             r.Cluster.s_recoveries);
+             r.Cluster.c_recoveries);
         Alcotest.(check bool)
           (Printf.sprintf "%s: WAL bytes accounted" name)
-          true (r.Cluster.s_wal_bytes > 0);
+          true (r.Cluster.c_wal_bytes > 0);
         Alcotest.(check int)
           (Printf.sprintf "%s: one commit round per party" name)
           cfg.Types.n
-          (Array.length r.Cluster.s_result.Cluster.c_rounds))
+          (Array.length r.Cluster.c_rounds))
     (Cluster.all_stacks ())
 
 let () =

@@ -385,6 +385,62 @@ let test_socket_dead_peer_revival () =
   Alcotest.(check string) "answer reaches the revived peer" "welcome back" f.W.body
 
 (* ------------------------------------------------------------------ *)
+(* The node report line                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let report ?recovery ~key ~rounds () =
+  { Cluster.rp_pid = 2; rp_key = key; rp_rounds = rounds; rp_frames = 41; rp_bytes = 4096;
+    rp_batches = 7; rp_records = 29; rp_recovery = recovery }
+
+let report_kinds =
+  [ ("value", report ~key:(Cluster.Value Value.V1) ~rounds:[| 3 |] ());
+    ( "values",
+      report ~key:(Cluster.Values [| Value.V0; Value.V1; Value.V1 |]) ~rounds:[| 1; 4; 2 |] () );
+    ("log", report ~key:(Cluster.Log { epochs = 6; txs = 12; hash = -0x35a1L }) ~rounds:[||] ());
+    ( "value, recovered",
+      report
+        ~recovery:
+          { Cluster.ri_pid = 2; ri_records = 24; ri_wal_bytes = 706; ri_replay_s = 0.1234567 }
+        ~key:(Cluster.Value Value.V0) ~rounds:[| 2 |] () ) ]
+
+let test_report_line_roundtrip () =
+  List.iter
+    (fun (kind, r) ->
+      let line = Cluster.report_to_line r in
+      Alcotest.(check bool) (kind ^ ": one line") false (String.contains line '\n');
+      match Cluster.report_of_line line with
+      | None -> Alcotest.failf "%s: %S does not parse back" kind line
+      | Some r' -> Alcotest.(check bool) (kind ^ ": round trip") true (r = r'))
+    report_kinds
+
+let test_report_line_rejects () =
+  let rejects what line =
+    Alcotest.(check bool) (Printf.sprintf "%s: %S rejected" what line) true
+      (Cluster.report_of_line line = None)
+  in
+  rejects "non-binary value"
+    "REPORT pid=0 frames=1 bytes=2 batches=0 records=0 value=2 rounds=1 end";
+  rejects "non-binary values"
+    "REPORT pid=0 frames=1 bytes=2 batches=0 records=0 values=0120 rounds=1,1,1,1 end";
+  rejects "values/rounds mismatch"
+    "REPORT pid=0 frames=1 bytes=2 batches=0 records=0 values=011 rounds=1,1 end";
+  rejects "value with two rounds"
+    "REPORT pid=0 frames=1 bytes=2 batches=0 records=0 value=1 rounds=1,2 end";
+  rejects "repeated field"
+    "REPORT pid=0 pid=1 frames=1 bytes=2 batches=0 records=0 value=1 rounds=1 end";
+  rejects "short hash"
+    "REPORT pid=0 frames=1 bytes=2 batches=0 records=0 epochs=1 txs=1 hash=ff end";
+  rejects "another line" "bca_node: node 0 timed out";
+  (* every proper prefix of every kind *)
+  List.iter
+    (fun (kind, r) ->
+      let line = Cluster.report_to_line r in
+      for k = 0 to String.length line - 1 do
+        rejects (kind ^ " truncated") (String.sub line 0 k)
+      done)
+    report_kinds
+
+(* ------------------------------------------------------------------ *)
 (* Multi-process clusters over real sockets                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -392,8 +448,8 @@ let spawn name spec ~transport ~seed =
   let cfg = cfg_of spec in
   let inputs = mixed_inputs cfg.Types.n in
   match
-    Cluster.spawn_cluster ~timeout_s:60. ~node_exe ~stack:name ~eps:0.25 ~cfg ~seed
-      ~inputs ~transport ()
+    Cluster.spawn ~timeout_s:60. ~node_exe ~cfg ~seed ~transport
+      (Cluster.Aba_one { spec; inputs })
   with
   | Error e -> Alcotest.failf "%s over %s: %s" name
                  (match transport with `Unix -> "unix" | `Tcp -> "tcp")
@@ -431,7 +487,7 @@ let test_unix_cluster_matches_loopback () =
   | Ok (loop, _) ->
     let _, r = spawn "byz-strong" spec ~transport:`Unix ~seed in
     Alcotest.(check bool) "same decision as loopback" true
-      (Value.equal loop.Aba.value r.Cluster.c_value)
+      (Value.equal loop.Aba.value (Cluster.key_values r.Cluster.c_key).(0))
 
 let test_tcp_cluster () =
   let _, r = spawn "byz-strong" Aba.Byz_strong ~transport:`Tcp ~seed:3L in
@@ -448,13 +504,14 @@ let test_unix_cluster_multi () =
   let instances = 8 in
   match
     ( Cluster.run_loopback_multi ~seed spec ~cfg ~instances,
-      Cluster.spawn_cluster_multi ~timeout_s:60. ~node_exe ~stack:"byz-strong" ~eps:0.25 ~cfg
-        ~seed ~instances ~transport:`Unix () )
+      Cluster.spawn ~timeout_s:60. ~node_exe ~cfg ~seed ~transport:`Unix
+        (Cluster.Aba_many { spec; instances; policy = Batcher.policy () }) )
   with
   | Error e, _ -> Alcotest.failf "loopback multi: %s" e
   | _, Error e -> Alcotest.failf "spawned multi cluster: %s" e
   | Ok oracle, Ok r ->
-    Alcotest.(check int) "one value per instance" instances (Array.length r.Cluster.mc_values);
+    let values = Cluster.key_values r.Cluster.c_key in
+    Alcotest.(check int) "one value per instance" instances (Array.length values);
     Array.iteri
       (fun k v ->
         let solo, _ = oracle.(k) in
@@ -462,12 +519,12 @@ let test_unix_cluster_multi () =
           (Printf.sprintf "instance %d matches the loopback oracle" k)
           true
           (Value.equal solo.Aba.value v))
-      r.Cluster.mc_values;
+      values;
     Array.iter
       (fun round -> Alcotest.(check bool) "positive round" true (round >= 1))
-      r.Cluster.mc_rounds;
+      r.Cluster.c_rounds;
     Alcotest.(check bool) "batch frames carried the records" true
-      (r.Cluster.mc_batches > 0 && r.Cluster.mc_records > r.Cluster.mc_batches)
+      (r.Cluster.c_batches > 0 && r.Cluster.c_records > r.Cluster.c_batches)
 
 (* The launcher owns the rendezvous tmpdir (bca-cluster-<pid>-<k> under
    the system temp dir): a cluster whose nodes all fail must still remove
@@ -483,6 +540,32 @@ let cluster_tmpdirs () =
     |> List.sort compare
   | exception Sys_error _ -> []
 
+(* Supervision restarts a node from its WAL, which only the single
+   agreement keeps: the launcher refuses a WAL dir for the other
+   workloads, and a kill trigger without one, before forking anything. *)
+let test_supervision_needs_single_agreement () =
+  let cfg = cfg_of Aba.Byz_strong in
+  let spawn ?wal_dir ?kill_at job =
+    Cluster.spawn ~timeout_s:5. ?wal_dir ?kill_at ~node_exe:"/nonexistent" ~cfg ~seed:1L
+      ~transport:`Unix job
+  in
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error _ -> ()
+  in
+  refused "WAL dir with B instances"
+    (spawn ~wal_dir:"/tmp"
+       (Cluster.Aba_many
+          { spec = Aba.Byz_strong; instances = 2; policy = Batcher.policy () }));
+  refused "WAL dir with the log"
+    (spawn ~wal_dir:"/tmp"
+       (Cluster.Rsm_log
+          { epochs = 2; window = 1; batch = Bca_rsm.Rsm.default_batch; txs_per_node = 1;
+            tx_bytes = 16 }));
+  refused "kill trigger without a WAL dir"
+    (spawn ~kill_at:(1, "coin:1")
+       (Cluster.Aba_one { spec = Aba.Byz_strong; inputs = mixed_inputs cfg.Types.n }))
+
 let test_failing_cluster_cleans_tmpdir () =
   let false_exe =
     if Sys.file_exists "/bin/false" then "/bin/false" else "/usr/bin/false"
@@ -491,8 +574,8 @@ let test_failing_cluster_cleans_tmpdir () =
   let cfg = cfg_of spec in
   let before = cluster_tmpdirs () in
   (match
-     Cluster.spawn_cluster ~timeout_s:20. ~node_exe:false_exe ~stack:"byz-strong" ~eps:0.25
-       ~cfg ~seed:31L ~inputs:(mixed_inputs cfg.Types.n) ~transport:`Unix ()
+     Cluster.spawn ~timeout_s:20. ~node_exe:false_exe ~cfg ~seed:31L ~transport:`Unix
+       (Cluster.Aba_one { spec; inputs = mixed_inputs cfg.Types.n })
    with
   | Ok _ -> Alcotest.fail "a cluster of /bin/false nodes cannot decide"
   | Error _ -> ());
@@ -532,8 +615,8 @@ let test_tcp_addr_in_use_retry () =
     if attempt = 1 then blocked_ports else Transport.Socket.pick_tcp_ports ~n
   in
   match
-    Cluster.spawn_cluster ~timeout_s:60. ~pick_ports ~node_exe ~stack:"byz-strong" ~eps:0.25
-      ~cfg ~seed:29L ~inputs:(mixed_inputs n) ~transport:`Tcp ()
+    Cluster.spawn ~timeout_s:60. ~pick_ports ~node_exe ~cfg ~seed:29L ~transport:`Tcp
+      (Cluster.Aba_one { spec; inputs = mixed_inputs n })
   with
   | Error e -> Alcotest.failf "cluster did not survive the port clash: %s" e
   | Ok r ->
@@ -589,6 +672,19 @@ let test_rsm_loopback_matches_netsim () =
         Alcotest.(check bool) "committed something" true (List.length r.Cluster.rl_logs.(0) > 0))
     [ (7L, 1); (7L, 2); (11L, 3); (23L, 2) ]
 
+(* The loopback load generator: a preloaded load commits in full, the log
+   runs to its last epoch, and the latency percentiles are ordered. *)
+let test_rsm_loadgen_loopback () =
+  let params = rsm_params ~epochs:8 ~window:3 () in
+  let load = { Cluster.lg_rate = 0.; lg_total = 24; lg_tx_bytes = 32 } in
+  match Cluster.run_rsm_loadgen_loopback ~seed:9L ~timeout_s:60. params ~load with
+  | Error e -> Alcotest.failf "loopback loadgen failed: %s" e
+  | Ok r ->
+    Alcotest.(check int) "all transactions committed" 24 r.Cluster.lr_committed;
+    Alcotest.(check int) "full log" params.Rsm.epochs r.Cluster.lr_epochs;
+    Alcotest.(check bool) "p99 >= p50" true (r.Cluster.lr_p99_ms >= r.Cluster.lr_p50_ms);
+    Alcotest.(check int) "no socket writes on the hub" 0 r.Cluster.lr_writes
+
 let test_rsm_loadgen_unix () =
   (* epochs 0..window-1 open (empty) at construction; the preloaded
      transactions land from epoch [window] on, with slack epochs for
@@ -605,23 +701,29 @@ let test_rsm_loadgen_unix () =
     Alcotest.(check bool) "p99 >= p50" true (r.Cluster.lr_p99_ms >= r.Cluster.lr_p50_ms)
 
 let spawn_rsm transport =
-  Cluster.spawn_rsm_cluster ~timeout_s:60. ~node_exe ~cfg:(Types.cfg ~n:4 ~t:1) ~seed:404L
-    ~epochs:6 ~window:2 ~batch_txs:8 ~batch_bytes:4096 ~txs_per_node:3 ~tx_bytes:24
-    ~transport ()
+  Result.map
+    (fun r ->
+      match r.Cluster.c_key with
+      | Cluster.Log l -> (l.epochs, l.txs, r)
+      | Cluster.Value _ | Cluster.Values _ -> Alcotest.fail "a log cluster reported a binary key")
+    (Cluster.spawn ~timeout_s:60. ~node_exe ~cfg:(Types.cfg ~n:4 ~t:1) ~seed:404L ~transport
+       (Cluster.Rsm_log
+          { epochs = 6; window = 2; batch = { Rsm.max_txs = 8; max_bytes = 4096 };
+            txs_per_node = 3; tx_bytes = 24 }))
 
 let test_rsm_cluster_unix () =
   Alcotest.(check bool) "bca_node built" true (Sys.file_exists node_exe);
   match spawn_rsm `Unix with
   | Error e -> Alcotest.failf "unix rsm cluster failed: %s" e
-  | Ok r ->
-    Alcotest.(check int) "all epochs committed" 6 r.Cluster.rc_epochs;
-    Alcotest.(check int) "all 12 workload txs committed" 12 r.Cluster.rc_txs;
-    Alcotest.(check bool) "traffic counted" true (r.Cluster.rc_stats.Cluster.frames > 0)
+  | Ok (epochs, txs, r) ->
+    Alcotest.(check int) "all epochs committed" 6 epochs;
+    Alcotest.(check int) "all 12 workload txs committed" 12 txs;
+    Alcotest.(check bool) "traffic counted" true (r.Cluster.c_stats.Cluster.frames > 0)
 
 let test_rsm_cluster_tcp () =
   match spawn_rsm `Tcp with
   | Error e -> Alcotest.failf "tcp rsm cluster failed: %s" e
-  | Ok r -> Alcotest.(check int) "all 12 workload txs committed" 12 r.Cluster.rc_txs
+  | Ok (_, txs, _) -> Alcotest.(check int) "all 12 workload txs committed" 12 txs
 
 let () =
   Alcotest.run "transport"
@@ -644,6 +746,10 @@ let () =
             test_socket_backoff_reset_on_reconnect;
           Alcotest.test_case "inbound frame revives a given-up peer" `Quick
             test_socket_dead_peer_revival ] );
+      ( "report",
+        [ Alcotest.test_case "every report kind round-trips" `Quick test_report_line_roundtrip;
+          Alcotest.test_case "malformed and truncated lines are rejected" `Quick
+            test_report_line_rejects ] );
       ( "cluster",
         [ Alcotest.test_case "unix sockets: all six stacks agree" `Slow
             test_unix_cluster_all_stacks;
@@ -654,11 +760,15 @@ let () =
             test_unix_cluster_multi;
           Alcotest.test_case "failing cluster cleans up its tmpdir" `Quick
             test_failing_cluster_cleans_tmpdir;
+          Alcotest.test_case "supervision needs the single agreement" `Quick
+            test_supervision_needs_single_agreement;
           Alcotest.test_case "tcp: EADDRINUSE exit triggers a fresh-port retry" `Slow
             test_tcp_addr_in_use_retry ] );
       ( "rsm",
         [ Alcotest.test_case "loopback log bit-identical to netsim" `Quick
             test_rsm_loopback_matches_netsim;
+          Alcotest.test_case "loopback loadgen commits everything" `Quick
+            test_rsm_loadgen_loopback;
           Alcotest.test_case "unix sockets: open-loop loadgen commits everything" `Slow
             test_rsm_loadgen_unix;
           Alcotest.test_case "unix sockets: forked --rsm replicas agree" `Slow
