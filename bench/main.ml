@@ -1409,11 +1409,11 @@ let bechamel () =
   let open Toolkit in
   let run_acs () =
     let cfg = Types.cfg ~n:4 ~t:1 in
-    let params = { Bca_acs.Acs.cfg; coin_seed = 7L } in
+    let params = { Bca_rsm.Acs.cfg; coin_seed = 7L } in
     let exec =
       Bca_netsim.Async_exec.create ~n:4 ~make:(fun pid ->
-          let t, init = Bca_acs.Acs.create params ~me:pid ~proposal:"tx" in
-          (Bca_acs.Acs.node t, List.map (fun m -> Bca_netsim.Node.Broadcast m) init))
+          let t, init = Bca_rsm.Acs.create params ~me:pid ~proposal:"tx" in
+          (Bca_rsm.Acs.node t, List.map (fun m -> Bca_netsim.Node.Broadcast m) init))
     in
     let rng = Bca_util.Rng.create 3L in
     ignore

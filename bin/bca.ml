@@ -591,39 +591,65 @@ let attack_cmd =
 let acs_cmd =
   let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of replicas (>= 3t+1).") in
   let silent =
-    Arg.(value & opt (some int) None & info [ "silent" ] ~doc:"Replica that never speaks.")
+    Arg.(value & opt (some int) None & info [ "silent" ] ~doc:"Replica (0 to n-1) that never speaks.")
   in
   let action n silent seed =
+    (match silent with
+    | Some s when s < 0 || s >= n ->
+      Printf.eprintf "--silent %d names no replica (expected 0..%d)\n" s (n - 1);
+      exit 1
+    | Some _ | None -> ());
     let t = (n - 1) / 3 in
     let cfg = Types.cfg ~n ~t in
-    let params = { Bca_acs.Acs.cfg; coin_seed = Int64.add seed 7L } in
+    let params = { Bca_rsm.Acs.cfg; coin_seed = Int64.add seed 7L } in
     let states = Array.make n None in
     let exec =
       Bca_netsim.Async_exec.create ~n ~make:(fun pid ->
           if Some pid = silent then (Bca_netsim.Node.silent, [])
           else begin
             let st, init =
-              Bca_acs.Acs.create params ~me:pid ~proposal:(Printf.sprintf "batch-%d" pid)
+              Bca_rsm.Acs.create params ~me:pid ~proposal:(Printf.sprintf "batch-%d" pid)
             in
             states.(pid) <- Some st;
-            (Bca_acs.Acs.node st, List.map (fun m -> Bca_netsim.Node.Broadcast m) init)
+            (Bca_rsm.Acs.node st, List.map (fun m -> Bca_netsim.Node.Broadcast m) init)
           end)
     in
     let rng = Bca_util.Rng.create seed in
-    (match Bca_netsim.Async_exec.run exec (Bca_netsim.Async_exec.random_scheduler rng) with
-    | `All_terminated -> Format.printf "ACS terminated (n=%d, t=%d)@." n t
-    | _ -> Format.printf "ACS failed to terminate@.");
+    let terminated =
+      match Bca_netsim.Async_exec.run exec (Bca_netsim.Async_exec.random_scheduler rng) with
+      | `All_terminated ->
+        Format.printf "ACS terminated (n=%d, t=%d)@." n t;
+        true
+      | `Quiescent | `Limit | `Stopped ->
+        Format.printf "ACS failed to terminate@.";
+        false
+    in
+    let outputs = List.filter_map (Option.map Bca_rsm.Acs.output) (Array.to_list states) in
     Array.iteri
       (fun pid st ->
-        match Option.bind st Bca_acs.Acs.output with
+        match Option.bind st Bca_rsm.Acs.output with
         | Some slots ->
           Format.printf "replica %d: {%s}@." pid
             (String.concat ", " (List.map (fun (j, _) -> string_of_int j) slots))
         | None -> if Some pid <> silent then Format.printf "replica %d: no output@." pid)
-      states
+      states;
+    let same_slot (i, p) (j, q) = i = j && String.equal p q in
+    let agreed =
+      match outputs with
+      | Some first :: rest ->
+        List.for_all (function Some o -> List.equal same_slot first o | None -> false) rest
+      | None :: _ | [] -> false
+    in
+    if not (terminated && agreed) then begin
+      prerr_endline "bca acs: the honest replicas did not all output one common subset";
+      exit 1
+    end
   in
   Cmd.v
-    (Cmd.info "acs" ~doc:"Run the HoneyBadger-style common subset on the paper's ABA.")
+    (Cmd.info "acs"
+       ~doc:
+         "Run the HoneyBadger-style common subset on the paper's ABA; exits 1 unless the run \
+          terminates with one subset at every honest replica.")
     Term.(const action $ n $ silent $ seed_arg)
 
 (* ------------------------------------------------------------------ *)

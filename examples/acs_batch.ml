@@ -8,7 +8,7 @@
    then executes in the same order.  One replica stays silent (crashed
    before proposing): the protocol excludes its slot and still delivers. *)
 
-module Acs = Bca_acs.Acs
+module Acs = Bca_rsm.Acs
 module Types = Bca_core.Types
 module Async = Bca_netsim.Async_exec
 module Node = Bca_netsim.Node

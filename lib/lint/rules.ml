@@ -257,17 +257,20 @@ let total_decoding =
 (* Structural cross-check, driven entirely by the parsetrees:
 
    1. wirefmt.ml binds [module A = F.Make (Inner)] (or [F.Make (G.Rule
-      (Inner))]) for every stack it encodes; harvest those bindings.
+      (Inner))]) for every stack it encodes, or annotates a codec value
+      [let c : M.msg Wire.codec] for a plain message variant; harvest
+      those roots.
    2. The constructors of [A]'s message type are declared by the first
       [type msg] variant of [f.ml] next to wirefmt.ml; the constructors
       of the per-round protocol messages by the [type msg] variant of
-      [inner.ml].
+      [inner.ml]; those of [M.msg] by [m.ml], followed through every
+      [X.msg] its constructors carry for which [x.ml] sits alongside.
    3. Every such constructor, qualified exactly as the codecs must
-      qualify it ([A.C] or [Inner.C]), has to occur in wirefmt.ml both
-      in pattern position (the encoder matches on it) and in expression
-      position (the decoder rebuilds it).  [A.C] may instead occur as
-      [P.C] inside a functor [module G (P : F.S)], which encodes every
-      [F.Make] stack at once. *)
+      qualify it ([A.C], [Inner.C], [M.C] or [X.C]), has to occur in
+      wirefmt.ml both in pattern position (the encoder matches on it)
+      and in expression position (the decoder rebuilds it).  [A.C] may
+      instead occur as [P.C] inside a functor [module G (P : F.S)], which
+      encodes every [F.Make] stack at once. *)
 
 let first_msg_variant ast =
   let found = ref None in
@@ -276,8 +279,7 @@ let first_msg_variant ast =
       type_declaration =
         (fun it td ->
           (match (td.ptype_name.txt, td.ptype_kind) with
-          | "msg", Ptype_variant cds when !found = None ->
-            found := Some (List.map (fun cd -> cd.pcd_name.txt) cds)
+          | "msg", Ptype_variant cds when !found = None -> found := Some cds
           | _ -> ());
           Ast_iterator.default_iterator.type_declaration it td) }
   in
@@ -357,6 +359,48 @@ let generic_params ast =
       | _ -> None)
     ast
 
+(* Top-level codec values annotated [M.msg Wire.codec]: (M, loc). *)
+let annotated_codecs ast =
+  let root typ =
+    match typ.ptyp_desc with
+    | Ptyp_constr
+        ( { txt = codec; _ },
+          [ { ptyp_desc = Ptyp_constr ({ txt = Longident.Ldot (m, "msg"); _ }, []); _ } ] )
+      when String.equal (Longident.last codec) "codec" -> Some (Longident.last m)
+    | _ -> None
+  in
+  List.concat_map
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) ->
+        List.filter_map
+          (fun vb ->
+            let typ =
+              match (vb.pvb_constraint, vb.pvb_pat.ppat_desc) with
+              | Some (Pvc_constraint { typ; _ }), _ | None, Ppat_constraint (_, typ) -> Some typ
+              | _ -> None
+            in
+            Option.map (fun m -> (m, vb.pvb_loc)) (Option.bind typ root))
+          vbs
+      | _ -> [])
+    ast
+
+(* The modules [X] whose [X.msg] a constructor declaration carries. *)
+let carried_msg_modules cds =
+  let found = ref [] in
+  let it =
+    { Ast_iterator.default_iterator with
+      typ =
+        (fun it t ->
+          (match t.ptyp_desc with
+          | Ptyp_constr ({ txt = Longident.Ldot (x, "msg"); _ }, _) ->
+            found := Longident.last x :: !found
+          | _ -> ());
+          Ast_iterator.default_iterator.typ it t) }
+  in
+  List.iter (it.constructor_declaration it) cds;
+  List.rev !found
+
 let wire_coverage_check src =
   let dir = Filename.dirname src.Lint.path in
   let out = ref [] in
@@ -369,8 +413,9 @@ let wire_coverage_check src =
         && match q with Some q -> List.exists (String.equal q) quals | None -> false)
       store
   in
-  let msg_ctors_of_module ~loc name =
-    let file = Filename.concat dir (String.uncapitalize_ascii name ^ ".ml") in
+  let file_of name = Filename.concat dir (String.uncapitalize_ascii name ^ ".ml") in
+  let msg_variant_of_module ~loc name =
+    let file = file_of name in
     match Lint.parse_file file with
     | Stdlib.Error e ->
       add loc (Printf.sprintf "cannot read message declarations of %s (%s): %s" name file e);
@@ -381,6 +426,9 @@ let wire_coverage_check src =
       | None ->
         add loc (Printf.sprintf "%s declares no 'type msg' variant (looked in %s)" name file);
         [])
+  in
+  let msg_ctors_of_module ~loc name =
+    List.map (fun cd -> cd.pcd_name.txt) (msg_variant_of_module ~loc name)
   in
   let check_ctor ~loc ?(generic = []) ~qual ctor =
     let quals = qual :: generic in
@@ -394,8 +442,10 @@ let wire_coverage_check src =
   in
   let bindings = functor_bindings src.Lint.ast in
   let params = generic_params src.Lint.ast in
-  if bindings = [] then
-    add Location.none "wirefmt.ml binds no stack codec modules (module A = F.Make (Inner))";
+  let roots = annotated_codecs src.Lint.ast in
+  if bindings = [] && roots = [] then
+    add Location.none
+      "wirefmt.ml binds no stack codec modules (module A = F.Make (Inner)) and annotates no codec (M.msg Wire.codec)";
   List.iter
     (fun (alias, functor_owner, inner, loc) ->
       let generic =
@@ -406,6 +456,17 @@ let wire_coverage_check src =
       List.iter (check_ctor ~loc ~generic ~qual:alias) (msg_ctors_of_module ~loc functor_owner);
       List.iter (check_ctor ~loc ~qual:inner) (msg_ctors_of_module ~loc inner))
     bindings;
+  (* [M.msg] and, transitively, every sibling [X.msg] it carries *)
+  let rec check_plain ~loc seen = function
+    | [] -> seen
+    | m :: rest when List.exists (String.equal m) seen -> check_plain ~loc seen rest
+    | m :: rest ->
+      let cds = msg_variant_of_module ~loc m in
+      List.iter (fun cd -> check_ctor ~loc ~qual:m cd.pcd_name.txt) cds;
+      let carried = List.filter (fun x -> Sys.file_exists (file_of x)) (carried_msg_modules cds) in
+      check_plain ~loc (m :: seen) (carried @ rest)
+  in
+  ignore (List.fold_left (fun seen (m, loc) -> check_plain ~loc seen [ m ]) [] roots : string list);
   List.rev !out
 
 let wire_coverage =

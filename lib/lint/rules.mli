@@ -16,8 +16,10 @@
       decoders must fail through typed [Malformed] errors.
     - [wire-coverage]: structural cross-check that every constructor of
       every stack message type referenced by [wirefmt.ml] (the functor
-      applications it binds, and their inner protocol modules) occurs
-      both as an encode pattern and as a decode construction. *)
+      applications it binds and their inner protocol modules, or the
+      [M.msg] of a codec value annotated [M.msg Wire.codec] and every
+      sibling [X.msg] it carries) occurs both as an encode pattern and as
+      a decode construction. *)
 
 val determinism : Lint.rule
 

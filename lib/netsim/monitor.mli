@@ -117,8 +117,8 @@ val near_misses : t -> (string * int) list
     call after {!final_check}. *)
 
 (** Multivalued analogue of the binary monitor, for executions whose
-    decisions are strings - MVBA payloads ({!Bca_rsm.Mvba}) or committed
-    log prefixes.  Checks:
+    decisions are strings - multivalued decisions
+    ({!Bca_rsm.Acs.decided}) or committed log prefixes.  Checks:
 
     - {b Agreement}: any two honest decisions are byte-equal.
     - {b Validity}: when every honest party proposed the same string, any

@@ -69,18 +69,6 @@ let points t = M.fold (fun _ c acc -> acc + bucket c) t 0
 
 let to_list t = M.bindings t
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 256 in
   Buffer.add_char buf '{';
@@ -90,7 +78,7 @@ let to_json t =
       if not !first then Buffer.add_char buf ',';
       first := false;
       Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape key);
+      Event.json_escape buf key;
       Buffer.add_string buf "\":";
       Buffer.add_string buf (string_of_int c))
     t;

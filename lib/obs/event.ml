@@ -59,7 +59,7 @@ let pp_timed ppf { ts; ev } = Format.fprintf ppf "[%d] %a" ts pp ev
 
 (* ---- JSONL encoding ------------------------------------------------ *)
 
-let escape buf s =
+let json_escape buf s =
   String.iter
     (fun c ->
       match c with
@@ -77,7 +77,7 @@ let to_json { ts; ev } =
   let fint k v = Buffer.add_string buf (Printf.sprintf ",%S:%d" k v) in
   let fstr k v =
     Buffer.add_string buf (Printf.sprintf ",%S:\"" k);
-    escape buf v;
+    json_escape buf v;
     Buffer.add_char buf '"'
   in
   Buffer.add_string buf (Printf.sprintf "{\"ts\":%d,\"type\":" ts);

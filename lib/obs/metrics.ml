@@ -270,19 +270,6 @@ let pp ppf t =
       Bca_util.Histogram.pp (batch_occupancy_histogram t);
   Format.fprintf ppf "@]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let dist_json name buckets =
   if bucket_total buckets = 0 then Printf.sprintf "%S:null" name
   else begin
@@ -317,7 +304,9 @@ let to_json t =
     (fun p c ->
       if not !first then Buffer.add_char buf ',';
       first := false;
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape p) c))
+      Buffer.add_char buf '"';
+      Event.json_escape buf p;
+      Buffer.add_string buf (Printf.sprintf "\":%d" c))
     t.phases;
   Buffer.add_string buf "},";
   Buffer.add_string buf (dist_json "decision_rounds" t.decision_rounds);

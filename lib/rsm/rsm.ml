@@ -1,5 +1,4 @@
 module Types = Bca_core.Types
-module Acs = Bca_acs.Acs
 module Trace = Bca_obs.Trace
 module Event = Bca_obs.Event
 

@@ -27,7 +27,6 @@
     grow memory without bound. *)
 
 module Types = Bca_core.Types
-module Acs = Bca_acs.Acs
 
 type tx = string
 

@@ -2,18 +2,13 @@ module Wire = Bca_wire.Wire
 module Put = Wire.Put
 module Get = Wire.Get
 module Bracha = Bca_baselines.Bracha
-module Acs = Bca_acs.Acs
-
-(* The same functor application {!Mvba.Byz} exposes; the applicative path
-   makes [Mv.msg] equal to [Mvba.Byz.msg] by construction. *)
-module Mv = Mvba.Make (Mvslot)
 
 let malformed fmt = Printf.ksprintf (fun msg -> raise (Get.Malformed msg)) fmt
 
-(* Both codecs nest the core byz-strong body ({!Bca_core.Wirefmt}) for
-   their per-slot binary-agreement messages: an RSM epoch slot and an MVBA
-   proposer slot run the same AA-1/2-over-BCA-Byz engine, so their wire
-   bodies are shared with codec 3 rather than re-specified. *)
+(* The codec nests the core byz-strong body ({!Bca_core.Wirefmt}) for its
+   per-slot binary-agreement messages: an epoch's proposer slot runs the
+   AA-1/2-over-BCA-Byz engine of codec 3, so its wire body is shared
+   rather than re-specified. *)
 let byz_body = Bca_core.Wirefmt.byz_strong
 
 (* ---- shared field encodings ---------------------------------------- *)
@@ -67,28 +62,3 @@ let rsm : Rsm.msg Wire.codec =
           let j = Get.varint g in
           Rsm.Epoch (e, Acs.Aba (j, byz_body.Wire.dec g))
         | t -> malformed "unknown rsm tag %d" t) }
-
-(* Body grammar: [tag:u8] [slot:varint] then the slot body, as above. *)
-let mvba : Mv.msg Wire.codec =
-  { Wire.id = 8;
-    name = "mvba";
-    enc =
-      (fun buf -> function
-        | Mv.Rbc (j, m) ->
-          Put.u8 buf 1;
-          Put.varint buf j;
-          put_bracha buf m
-        | Mv.Slot (j, Mvslot.Slot_aba m) ->
-          Put.u8 buf 2;
-          Put.varint buf j;
-          byz_body.Wire.enc buf m);
-    dec =
-      (fun g ->
-        match Get.u8 g with
-        | 1 ->
-          let j = Get.varint g in
-          Mv.Rbc (j, get_bracha g)
-        | 2 ->
-          let j = Get.varint g in
-          Mv.Slot (j, Mvslot.Slot_aba (byz_body.Wire.dec g))
-        | t -> malformed "unknown mvba tag %d" t) }

@@ -1,20 +1,13 @@
-(** Binary body codecs for the replicated-log layer, in the
+(** Binary body codec for the replicated-log layer, in the
     {!Bca_core.Wirefmt} scheme (total decoding, [Get.Malformed] on any
     malformed body, codec ids disjoint from the core's 1-6):
 
     - {!rsm} (id 7) - windowed replicated-log messages ({!Rsm.msg})
-    - {!mvba} (id 8) - multivalued agreement messages ({!Mvba.Byz})
 
-    Both nest the core [byz_strong] body (codec 3) for their per-slot
-    binary-agreement traffic, so a slot message costs exactly the framing
-    ([epoch] / [slot] varints + one tag byte) over its binary form. *)
-
-(** The functor application {!Mvba.Byz} abbreviates; [Mv.msg] is equal to
-    [Mvba.Byz.msg] by the applicative-functor path. *)
-module Mv : module type of Mvba.Make (Mvslot)
+    Id 8 is unassigned.  The codec nests the core [byz_strong] body
+    (codec 3) for its per-slot binary-agreement traffic, so a slot message
+    costs exactly the framing ([epoch] / [slot] varints + one tag byte)
+    over its binary form. *)
 
 val rsm : Rsm.msg Bca_wire.Wire.codec
 (** Codec id 7. *)
-
-val mvba : Mv.msg Bca_wire.Wire.codec
-(** Codec id 8. *)

@@ -63,7 +63,7 @@ let instance_assembly ~seed ~n instances =
 
 let rsm_wire = Bca_rsm.Wirefmt.rsm
 
-let rsm_log_hash log = Bca_rsm.Mvba.digest (Rsm.encode_batch log)
+let rsm_log_hash log = Bca_rsm.Acs.digest (Rsm.encode_batch log)
 
 (* The deterministic per-node workload every process regenerates from the
    spawn parameters: [count] transactions, globally unique by pid and

@@ -67,7 +67,7 @@ val instance_inputs : seed:int64 -> n:int -> int -> Bca_util.Value.t array
     {!instance_seed}. *)
 
 val rsm_log_hash : Bca_rsm.Rsm.tx list -> int64
-(** Digest of a committed log ({!Bca_rsm.Mvba.digest} over the netstring
+(** Digest of a committed log ({!Bca_rsm.Acs.digest} over the netstring
     encoding) - what log nodes report and launchers compare. *)
 
 val rsm_workload : pid:int -> count:int -> tx_bytes:int -> Bca_rsm.Rsm.tx list

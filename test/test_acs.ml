@@ -5,7 +5,7 @@
 module Value = Bca_util.Value
 module Rng = Bca_util.Rng
 module Types = Bca_core.Types
-module Acs = Bca_acs.Acs
+module Acs = Bca_rsm.Acs
 module Async = Bca_netsim.Async_exec
 module Node = Bca_netsim.Node
 

@@ -253,6 +253,37 @@ let test_wire_coverage_nested () =
   Alcotest.(check int) "no framing: both stack constructors, both directions" 4
     (count (nested_wirefmt ~framed:"" ~decode_p))
 
+(* The plain-variant shape: a codec value annotated [Rsm.msg Wire.codec],
+   whose [Epoch] carries the sibling [Acs.msg]; [Bracha] and [Aba_slot]
+   have no file alongside and are not followed. *)
+let plain_fixture ~enc ~dec =
+  [ ("lib/rsm/acs.ml", "type msg = Rbc of int * string Bracha.msg | Aba of int * Aba_slot.msg\n");
+    ("lib/rsm/rsm.ml", "type msg = Epoch of int * Acs.msg\n");
+    ("lib/rsm/wirefmt.ml",
+     "let rsm : Rsm.msg Wire.codec =\n  { enc = (" ^ enc ^ ");\n    dec = (" ^ dec ^ ") }\n") ]
+
+let plain_enc =
+  "function Rsm.Epoch (e, Acs.Rbc (j, m)) -> (e, j, m) | Rsm.Epoch (e, Acs.Aba (j, m)) -> (e, j, m)"
+
+let plain_dec =
+  "fun (e, j, m) -> if j = 0 then Rsm.Epoch (e, Acs.Rbc (j, m)) else Rsm.Epoch (e, Acs.Aba (j, m))"
+
+let wire_messages files =
+  List.filter_map
+    (fun (f : Lint.finding) -> if String.equal f.rule "wire-coverage" then Some f.message else None)
+    (lint_fixture files).findings
+
+let test_wire_coverage_plain () =
+  Alcotest.(check (list string)) "annotated codec, fully covered" []
+    (wire_messages (plain_fixture ~enc:plain_enc ~dec:plain_dec));
+  Alcotest.(check (list string)) "carried Acs.Aba decode branch missing"
+    [ "constructor Acs.Aba has no decode branch (never constructed)" ]
+    (wire_messages (plain_fixture ~enc:plain_enc ~dec:"fun (e, j, m) -> Rsm.Epoch (e, Acs.Rbc (j, m))"));
+  Alcotest.(check (list string)) "root Rsm.Epoch encode branch missing"
+    [ "constructor Rsm.Epoch has no encode branch (never matched as a pattern)" ]
+    (wire_messages
+       (plain_fixture ~enc:"function Acs.Rbc (j, m) -> (j, m) | Acs.Aba (j, m) -> (j, m)" ~dec:plain_dec))
+
 (* ------------------------------------------------------------------ *)
 (* Suppressions                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -712,7 +743,8 @@ let () =
       ( "wire-coverage",
         [ Alcotest.test_case "flags bad" `Quick test_wire_coverage_flags;
           Alcotest.test_case "passes good" `Quick test_wire_coverage_clean;
-          Alcotest.test_case "nested functor bindings" `Quick test_wire_coverage_nested ] );
+          Alcotest.test_case "nested functor bindings" `Quick test_wire_coverage_nested;
+          Alcotest.test_case "annotated plain-variant codec" `Quick test_wire_coverage_plain ] );
       ( "suppressions",
         [ Alcotest.test_case "valid line" `Quick test_suppression_valid;
           Alcotest.test_case "valid file" `Quick test_suppression_file_level;

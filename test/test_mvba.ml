@@ -2,7 +2,7 @@
    unanimity validity, termination with silent parties, and a chaos
    campaign under the multivalued monitor - zero violations. *)
 
-module Mvba = Bca_rsm.Mvba
+module Acs = Bca_rsm.Acs
 module Types = Bca_core.Types
 module Async = Bca_netsim.Async_exec
 module Monitor = Bca_netsim.Monitor
@@ -14,15 +14,15 @@ let proposal_of pid = Printf.sprintf "value-%d" pid
 
 let run_mvba ?(n = 4) ?(t = 1) ?(proposal = proposal_of) ?(silent = []) ~seed () =
   let cfg = Types.cfg ~n ~t in
-  let params = { Mvba.Byz.cfg; coin_seed = Int64.add seed 17L } in
+  let params = { Acs.cfg; coin_seed = Int64.add seed 17L } in
   let states = Array.make n None in
   let exec =
     Async.create ~n ~make:(fun pid ->
         if List.mem pid silent then (Node.silent, [])
         else begin
-          let st, init = Mvba.Byz.create params ~me:pid ~proposal:(proposal pid) in
+          let st, init = Acs.create params ~me:pid ~proposal:(proposal pid) in
           states.(pid) <- Some st;
-          (Mvba.Byz.node st, List.map (fun m -> Node.Broadcast m) init)
+          (Acs.node st, List.map (fun m -> Node.Broadcast m) init)
         end)
   in
   let proposals = Array.init n proposal in
@@ -30,7 +30,7 @@ let run_mvba ?(n = 4) ?(t = 1) ?(proposal = proposal_of) ?(silent = []) ~seed ()
     Monitor.Multi.create ~n
       ~honest:(fun pid -> not (List.mem pid silent))
       ~proposals
-      ~decision:(fun pid -> Option.bind states.(pid) Mvba.Byz.decided)
+      ~decision:(fun pid -> Option.bind states.(pid) Acs.decided)
       ()
   in
   Monitor.Multi.attach monitor exec;
@@ -39,7 +39,7 @@ let run_mvba ?(n = 4) ?(t = 1) ?(proposal = proposal_of) ?(silent = []) ~seed ()
   (outcome, states, monitor)
 
 let decisions states =
-  Array.to_list states |> List.filter_map (fun st -> Option.bind st Mvba.Byz.decided)
+  Array.to_list states |> List.filter_map (fun st -> Option.bind st Acs.decided)
 
 let test_agreement_on_a_proposal () =
   let outcome, states, monitor = run_mvba ~seed:1L () in
@@ -75,7 +75,7 @@ let test_silent_party () =
 let test_accepted_subset_identical () =
   let _, states, _ = run_mvba ~seed:4L () in
   let subsets =
-    Array.to_list states |> List.filter_map (fun st -> Option.bind st Mvba.Byz.accepted)
+    Array.to_list states |> List.filter_map (fun st -> Option.bind st Acs.output)
   in
   match subsets with
   | s :: rest ->
@@ -87,10 +87,10 @@ let test_accepted_subset_identical () =
   | [] -> Alcotest.fail "no common subset"
 
 let test_digest_deterministic () =
-  Alcotest.(check int64) "fnv-1a offset basis" 0xCBF29CE484222325L (Mvba.digest "");
-  Alcotest.(check int64) "stable" (Mvba.digest "abc") (Mvba.digest "abc");
+  Alcotest.(check int64) "fnv-1a offset basis" 0xCBF29CE484222325L (Acs.digest "");
+  Alcotest.(check int64) "stable" (Acs.digest "abc") (Acs.digest "abc");
   Alcotest.(check bool) "separates" true
-    (not (Int64.equal (Mvba.digest "abc") (Mvba.digest "abd")))
+    (not (Int64.equal (Acs.digest "abc") (Acs.digest "abd")))
 
 (* Chaos campaign: generated plans with crashes, partitions, link faults
    and kill/restart faults.  Safety - multivalued agreement and validity
@@ -107,21 +107,21 @@ let prop_chaos_campaign =
       in
       let faulty = Chaos.faulty_parties plan in
       let cfg = Types.cfg ~n ~t:1 in
-      let params = { Mvba.Byz.cfg; coin_seed = Int64.add seed64 23L } in
+      let params = { Acs.cfg; coin_seed = Int64.add seed64 23L } in
       let unanimous = seed mod 2 = 0 in
       let proposal pid = if unanimous then "v" else proposal_of pid in
       let states = Array.make n None in
       let exec =
         Async.create ~n ~make:(fun pid ->
-            let st, init = Mvba.Byz.create params ~me:pid ~proposal:(proposal pid) in
+            let st, init = Acs.create params ~me:pid ~proposal:(proposal pid) in
             states.(pid) <- Some st;
-            (Mvba.Byz.node st, List.map (fun m -> Node.Broadcast m) init))
+            (Acs.node st, List.map (fun m -> Node.Broadcast m) init))
       in
       let monitor =
         Monitor.Multi.create ~n
           ~honest:(fun pid -> not (List.mem pid faulty))
           ~proposals:(Array.init n proposal)
-          ~decision:(fun pid -> Option.bind states.(pid) Mvba.Byz.decided)
+          ~decision:(fun pid -> Option.bind states.(pid) Acs.decided)
           ()
       in
       Monitor.Multi.attach monitor exec;

@@ -13,7 +13,7 @@ module B = Bca_core.Bca_byz
 module Ev_stack = Bca_core.Aba.Byz_ev_stack
 module Evbca = Bca_core.Evbca_byz
 module Weak_stack = Bca_core.Aba.Crash_weak_stack
-module Acs = Bca_acs.Acs
+module Acs = Bca_rsm.Acs
 
 (* ------------------------------------------------------------------ *)
 (* Duplicates and replay                                               *)

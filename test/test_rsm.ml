@@ -215,14 +215,14 @@ let test_buffer_bounded () =
   (* epochs 0..1 open; 2..3 bufferable; cap 3 messages per epoch *)
   for i = 0 to 9 do
     let m =
-      Rsm.Epoch (2, Bca_acs.Acs.Rbc (1, Bca_baselines.Bracha.Echo (string_of_int i)))
+      Rsm.Epoch (2, Bca_rsm.Acs.Rbc (1, Bca_baselines.Bracha.Echo (string_of_int i)))
     in
     ignore (Rsm.handle st ~from:1 m : Rsm.msg list)
   done;
   Alcotest.(check int) "per-epoch cap holds" 3 (Rsm.buffered_msgs st);
   Alcotest.(check int) "overflow shed with events" 7 !drops;
   (* far beyond the slack horizon: shed outright *)
-  let far = Rsm.Epoch (40, Bca_acs.Acs.Rbc (1, Bca_baselines.Bracha.Echo "far")) in
+  let far = Rsm.Epoch (40, Bca_rsm.Acs.Rbc (1, Bca_baselines.Bracha.Echo "far")) in
   ignore (Rsm.handle st ~from:1 far : Rsm.msg list);
   Alcotest.(check int) "far-future shed" 8 !drops;
   Alcotest.(check int) "held unchanged" 3 (Rsm.buffered_msgs st)

@@ -225,13 +225,13 @@ let test_evt_round1_prev_rejected () =
 
 let test_acs_buffers_early_aba_traffic () =
   let acs_cfg = Types.cfg ~n:4 ~t:1 in
-  let params = { Bca_acs.Acs.cfg = acs_cfg; coin_seed = 10L } in
-  let p, _ = Bca_acs.Acs.create params ~me:0 ~proposal:"x" in
+  let params = { Bca_rsm.Acs.cfg = acs_cfg; coin_seed = 10L } in
+  let p, _ = Bca_rsm.Acs.create params ~me:0 ~proposal:"x" in
   (* ABA traffic for slot 2 before its RBC delivered: buffered, no crash *)
-  let m = Bca_acs.Acs.Aba (2, Bca_acs.Acs.Aba_slot.Committed Value.V1) in
-  let out = Bca_acs.Acs.handle p ~from:1 m in
+  let m = Bca_rsm.Acs.Aba (2, Bca_rsm.Acs.Aba_slot.Committed Value.V1) in
+  let out = Bca_rsm.Acs.handle p ~from:1 m in
   Alcotest.(check int) "buffered silently" 0 (List.length out);
-  Alcotest.(check bool) "no output yet" true (Bca_acs.Acs.output p = None)
+  Alcotest.(check bool) "no output yet" true (Bca_rsm.Acs.output p = None)
 
 let test_rsm_epoch_buffering () =
   let cfg = Types.cfg ~n:4 ~t:1 in
@@ -243,14 +243,14 @@ let test_rsm_epoch_buffering () =
   Alcotest.(check int) "window open" 2 (Bca_rsm.Rsm.in_flight p);
   (* a message just past the window is buffered, not dropped or crashed on *)
   let m =
-    Bca_rsm.Rsm.Epoch (3, Bca_acs.Acs.Rbc (1, Bca_baselines.Bracha.Echo "future"))
+    Bca_rsm.Rsm.Epoch (3, Bca_rsm.Acs.Rbc (1, Bca_baselines.Bracha.Echo "future"))
   in
   let out = Bca_rsm.Rsm.handle p ~from:1 m in
   Alcotest.(check int) "buffered" 0 (List.length out);
   Alcotest.(check int) "held" 1 (Bca_rsm.Rsm.buffered_msgs p);
   (* far past the buffering horizon: shed, not held *)
   let far =
-    Bca_rsm.Rsm.Epoch (9, Bca_acs.Acs.Rbc (1, Bca_baselines.Bracha.Echo "far"))
+    Bca_rsm.Rsm.Epoch (9, Bca_rsm.Acs.Rbc (1, Bca_baselines.Bracha.Echo "far"))
   in
   let out = Bca_rsm.Rsm.handle p ~from:1 far in
   Alcotest.(check int) "shed silently" 0 (List.length out);
