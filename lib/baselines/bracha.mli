@@ -1,4 +1,4 @@
-(** Bracha reliable broadcast (Information & Computation 1987).
+(** Bracha reliable broadcast (Information & Computation 1987), hash-based.
 
     The classical [n >= 3t + 1] primitive: a designated sender broadcasts a
     payload; every honest party eventually delivers the same payload, and if
@@ -6,27 +6,51 @@
     broadcast - the message-complexity contrast of Section 1.3, and the
     dissemination layer of the ACS example built on the paper's ABA.
 
-    Payloads are compared structurally; instances are generic in the
-    payload type. *)
+    The payload travels once: only the sender's [Initial] carries it.
+    [Echo] and [Ready] carry its 32-byte SHA-256 digest
+    ({!Bca_crypto.Sha256}), which a party computes once, on the sender's
+    [Initial].  Thresholds are Bracha's over digests: echo on the sender's
+    [Initial], ready on [n - t] echoes or [t + 1] readies of one digest,
+    deliver on [2t + 1] readies of [h] {e and} a held payload hashing to
+    [h].
+
+    A party can reach [2t + 1] readies without ever receiving the sender's
+    [Initial] (a Byzantine sender skipped it, or the schedule is slow).  It
+    then broadcasts one [Fetch h]; every party holding a payload that
+    hashes to [h] answers each requester once with [Payload x], and the
+    requester keeps [x] only if [h(x)] has at least [t + 1] readies - so at
+    least one honest party vouched for it, and a forged payload is dropped.
+    [2t + 1] readies for [h] mean at least [t + 1] honest parties echoed
+    [h], each holding its payload, so the pull always finds an honest
+    holder: totality survives, provided holders keep answering [Fetch]
+    after they have delivered (and after any enclosing protocol has
+    terminated). *)
 
 module Types = Bca_core.Types
 
-type 'a msg =
-  | Initial of 'a  (** sender's value *)
-  | Echo of 'a
-  | Ready of 'a
+type digest = string
+(** A raw {!Bca_crypto.Sha256.size}-byte SHA-256 digest. *)
 
-val pp_msg : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a msg -> unit
+type msg =
+  | Initial of string  (** the sender's payload - the only full copy sent *)
+  | Echo of digest
+  | Ready of digest
+  | Fetch of digest  (** pull: [2t + 1] readies for the digest, no payload held *)
+  | Payload of string  (** answer to a [Fetch]: a held payload *)
 
-type 'a t
+val pp_msg : Format.formatter -> msg -> unit
+(** Payloads print verbatim, digests as their first 8 hex digits. *)
 
-val create : Types.cfg -> me:Types.pid -> sender:Types.pid -> 'a t
+type t
 
-val broadcast : 'a t -> 'a -> 'a msg list
+val create : Types.cfg -> me:Types.pid -> sender:Types.pid -> t
+
+val broadcast : t -> string -> msg list
 (** The sender's initial step; must be called on the sender's instance. *)
 
-val handle : 'a t -> from:Types.pid -> 'a msg -> 'a msg list
+val handle : t -> from:Types.pid -> msg -> msg list
 
-val delivered : 'a t -> 'a option
+val delivered : t -> string option
 (** The reliably delivered payload, once any.  Totality, agreement and
-    validity are the standard Bracha guarantees. *)
+    validity are the standard Bracha guarantees; agreement additionally
+    rests on SHA-256 collision resistance. *)

@@ -264,7 +264,9 @@ let total_decoding =
       [type msg] variant of [f.ml] next to wirefmt.ml; the constructors
       of the per-round protocol messages by the [type msg] variant of
       [inner.ml]; those of [M.msg] by [m.ml], followed through every
-      [X.msg] its constructors carry for which [x.ml] sits alongside.
+      [X.msg] its constructors carry for which [x.ml] sits alongside -
+      or, when wirefmt.ml aliases [module X = Bca_lib.Y], for which
+      [y.ml] sits in the sibling library directory [lib/].
    3. Every such constructor, qualified exactly as the codecs must
       qualify it ([A.C], [Inner.C], [M.C] or [X.C]), has to occur in
       wirefmt.ml both in pattern position (the encoder matches on it)
@@ -385,6 +387,25 @@ let annotated_codecs ast =
       | _ -> [])
     ast
 
+(* Top-level aliases of another library's module, [module X = Bca_lib.Y]:
+   (X, the path of [y.ml] in the sibling directory [lib] of [dir]). *)
+let library_aliases ~dir ast =
+  List.filter_map
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_module
+          { pmb_name = { txt = Some alias; _ };
+            pmb_expr =
+              { pmod_desc = Pmod_ident { txt = Longident.Ldot (Longident.Lident lib, m); _ }; _ };
+            _ } -> (
+        match String.split_on_char '_' lib with
+        | "Bca" :: (_ :: _ as rest) ->
+          let lib_dir = Filename.concat (Filename.dirname dir) (String.concat "_" rest) in
+          Some (alias, Filename.concat lib_dir (String.uncapitalize_ascii m ^ ".ml"))
+        | _ -> None)
+      | _ -> None)
+    ast
+
 (* The modules [X] whose [X.msg] a constructor declaration carries. *)
 let carried_msg_modules cds =
   let found = ref [] in
@@ -413,7 +434,12 @@ let wire_coverage_check src =
         && match q with Some q -> List.exists (String.equal q) quals | None -> false)
       store
   in
-  let file_of name = Filename.concat dir (String.uncapitalize_ascii name ^ ".ml") in
+  let aliases = library_aliases ~dir src.Lint.ast in
+  let file_of name =
+    match List.assoc_opt name aliases with
+    | Some file when Sys.file_exists file -> file
+    | Some _ | None -> Filename.concat dir (String.uncapitalize_ascii name ^ ".ml")
+  in
   let msg_variant_of_module ~loc name =
     let file = file_of name in
     match Lint.parse_file file with

@@ -19,16 +19,16 @@ let digest (s : payload) : int64 =
     s;
   !h
 
-type msg = Rbc of int * payload Bracha.msg | Aba of int * Aba_slot.msg
+type msg = Rbc of int * Bracha.msg | Aba of int * Aba_slot.msg
 
 let pp_msg ppf = function
-  | Rbc (j, m) -> Format.fprintf ppf "rbc%d:%a" j (Bracha.pp_msg Format.pp_print_string) m
+  | Rbc (j, m) -> Format.fprintf ppf "rbc%d:%a" j Bracha.pp_msg m
   | Aba (j, m) -> Format.fprintf ppf "aba%d:%a" j Aba_slot.pp_msg m
 
 type params = { cfg : Types.cfg; coin_seed : int64 }
 
 type slot = {
-  rbc : payload Bracha.t;
+  rbc : Bracha.t;
   mutable aba : Aba_slot.t option;  (* started once the input is known *)
   mutable buffered : (Types.pid * Aba_slot.msg) list;  (* reverse order *)
 }
@@ -173,15 +173,24 @@ let all_slots_terminated t =
 let slot_of t j =
   if Bca_util.Bounds.index_ok ~len:(Array.length t.slots) j then Some t.slots.(j) else None
 
+let rbc_handle t ~from j m =
+  match slot_of t j with
+  | Some slot -> List.map (fun m -> Rbc (j, m)) (Bracha.handle slot.rbc ~from m)
+  | None -> []
+
+(* Once terminated, an instance still answers payload pulls: a replica
+   that never got slot [j]'s [Initial] may reach its ready quorum after
+   every holder has terminated, and only a holder's answer lets it
+   deliver (Bracha's totality, and so the common subset everywhere). *)
 let handle t ~from msg =
-  if t.terminated then []
+  if t.terminated then
+    match msg with
+    | Rbc (j, (Bracha.Fetch _ as m)) -> rbc_handle t ~from j m
+    | Rbc _ | Aba _ -> []
   else begin
     let out =
       match msg with
-      | Rbc (j, m) -> (
-        match slot_of t j with
-        | Some slot -> List.map (fun m -> Rbc (j, m)) (Bracha.handle slot.rbc ~from m)
-        | None -> [])
+      | Rbc (j, m) -> rbc_handle t ~from j m
       | Aba (j, m) -> (
         match slot_of t j with
         | None -> []

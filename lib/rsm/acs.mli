@@ -20,6 +20,13 @@
     Messages for a slot whose local input is not yet known are buffered and
     replayed - an extra network delay, which asynchrony permits.
 
+    The broadcasts are hash-based ({!Bca_baselines.Bracha}): a proposal
+    travels once, in its proposer's [Initial], and echoes and readies carry
+    its SHA-256 digest.  A party that reaches a ready quorum without the
+    payload pulls it with [Fetch], so a terminated instance keeps serving
+    [Fetch] (and ignores everything else): a lagging party may need a
+    payload that only terminated parties hold.
+
     {b Multivalued agreement} is a pure selection over that output, the
     Mizrahi Erbes-Wattenhofer reduction of multivalued agreement to
     crusader-style dissemination plus binary agreement: the Bracha
@@ -39,10 +46,12 @@ module Aba_slot = Bca_core.Aba.Byz_strong_stack
 type payload = string
 
 val digest : payload -> int64
-(** FNV-1a (64-bit) of the payload - the deterministic selection key. *)
+(** FNV-1a (64-bit) of the payload - the deterministic selection key.  Not
+    a vote: the broadcasts agree on SHA-256 digests, this only orders the
+    selection's ties. *)
 
 type msg =
-  | Rbc of int * payload Bca_baselines.Bracha.msg  (** proposer slot *)
+  | Rbc of int * Bca_baselines.Bracha.msg  (** proposer slot *)
   | Aba of int * Aba_slot.msg
 
 val pp_msg : Format.formatter -> msg -> unit
@@ -56,6 +65,7 @@ type t
 
 val create : params -> me:Types.pid -> proposal:payload -> t * msg list
 val handle : t -> from:Types.pid -> msg -> msg list
+(** Once {!terminated}, only [Rbc (j, Fetch h)] gets an answer. *)
 
 val output : t -> (int * payload) list option
 (** [Some slots] once the common subset is decided and all accepted

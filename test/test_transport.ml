@@ -685,6 +685,27 @@ let test_rsm_loadgen_loopback () =
     Alcotest.(check bool) "p99 >= p50" true (r.Cluster.lr_p99_ms >= r.Cluster.lr_p50_ms);
     Alcotest.(check int) "no socket writes on the hub" 0 r.Cluster.lr_writes
 
+(* The byte gate: the seeded loopback loadgen of [bca loadgen --transport
+   loopback --total 2000] (batch 64, window 4, 64-byte transactions) moves
+   a byte count that repeats exactly.  Sending each batch once and
+   echoing digests must keep it under a third of the 5,180,448 bytes the
+   full-payload echo/ready exchange moved. *)
+let test_rsm_loadgen_byte_gate () =
+  let n = 4 and t = 1 and window = 4 and batch_txs = 64 and total = 2000 in
+  let epochs = window + ((total + ((n - t) * batch_txs) - 1) / ((n - t) * batch_txs) * 2) + 2 in
+  let params =
+    Rsm.mk_params ~cfg:(Types.cfg ~n ~t) ~coin_seed:1L ~epochs ~window
+      ~batch:{ Rsm.max_txs = batch_txs; max_bytes = 64 * 1024 }
+      ()
+  in
+  let load = { Cluster.lg_rate = 0.; lg_total = total; lg_tx_bytes = 64 } in
+  match Cluster.run_rsm_loadgen_loopback ~seed:1L ~timeout_s:60. params ~load with
+  | Error e -> Alcotest.failf "loopback loadgen failed: %s" e
+  | Ok r ->
+    Alcotest.(check int) "all transactions committed" total r.Cluster.lr_committed;
+    if r.Cluster.lr_bytes * 3 > 5_180_448 then
+      Alcotest.failf "%d bytes on the wire, over a third of 5,180,448" r.Cluster.lr_bytes
+
 let test_rsm_loadgen_unix () =
   (* epochs 0..window-1 open (empty) at construction; the preloaded
      transactions land from epoch [window] on, with slack epochs for
@@ -769,6 +790,7 @@ let () =
             test_rsm_loopback_matches_netsim;
           Alcotest.test_case "loopback loadgen commits everything" `Quick
             test_rsm_loadgen_loopback;
+          Alcotest.test_case "loopback loadgen byte gate" `Quick test_rsm_loadgen_byte_gate;
           Alcotest.test_case "unix sockets: open-loop loadgen commits everything" `Slow
             test_rsm_loadgen_unix;
           Alcotest.test_case "unix sockets: forked --rsm replicas agree" `Slow
