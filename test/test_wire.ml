@@ -856,30 +856,46 @@ let test_golden_rejections () =
 
 (* The replicated log's codec (id 7): one body per path - each Bracha
    step and a nested byz-strong slot body - and the rejection of an
-   unknown rsm tag and an unknown bracha tag. *)
+   unknown rsm tag, an unknown bracha tag, and a digest one byte short or
+   one byte long (digests are a fixed 32 bytes, read with [Get.take]). *)
 module Rsm = Bca_rsm.Rsm
 module Acs = Bca_rsm.Acs
 module Bracha = Bca_baselines.Bracha
 
 let rsm_codec = Bca_rsm.Wirefmt.rsm
 
+let tx_digest = Bca_crypto.Sha256.digest "tx"
+
 let test_golden_rsm () =
   Alcotest.(check (list string)) "rsm bodies"
-    [ "00010101027478"; "ac0201030200"; "0501820103026162"; "02020103ac0202" ]
+    [ "00010101027478";
+      "ac020103021b5b9ccb3e8d006a5230de9bda23ff91edc794d4f56410560830b418528e446c";
+      "05018201031b5b9ccb3e8d006a5230de9bda23ff91edc794d4f56410560830b418528e446c";
+      "070102041b5b9ccb3e8d006a5230de9bda23ff91edc794d4f56410560830b418528e446c";
+      "01010005027478";
+      "02020103ac0202" ]
     (List.map hex
        (List.map (body_of rsm_codec)
           [ Rsm.Epoch (0, Acs.Rbc (1, Bracha.Initial "tx"));
-            Rsm.Epoch (300, Acs.Rbc (3, Bracha.Echo ""));
-            Rsm.Epoch (5, Acs.Rbc (130, Bracha.Ready "ab"));
+            Rsm.Epoch (300, Acs.Rbc (3, Bracha.Echo tx_digest));
+            Rsm.Epoch (5, Acs.Rbc (130, Bracha.Ready tx_digest));
+            Rsm.Epoch (7, Acs.Rbc (2, Bracha.Fetch tx_digest));
+            Rsm.Epoch (1, Acs.Rbc (0, Bracha.Payload "tx"));
             Rsm.Epoch (2, Acs.Aba (1, Byz_strong.Bca (r, Bca_core.Bca_byz.MEcho3 (Types.Val Value.V1)))) ]));
   Alcotest.(check (list string)) "rsm rejections"
-    [ unknown_tag "rsm" 3; unknown_tag "bracha" 4 ]
+    [ unknown_tag "rsm" 3;
+      unknown_tag "bracha" 6;
+      "malformed body: take exceeds input";
+      "malformed body: 1 trailing body bytes" ]
     (List.map
        (fun body ->
          match W.decode_body rsm_codec { W.codec_id = rsm_codec.W.id; sender = 0; body } with
          | Ok _ -> "ok"
          | Error e -> W.error_to_string e)
-       [ "\x00\x03\x01"; "\x00\x01\x01\x04\x00" ])
+       [ "\x00\x03\x01";
+         "\x00\x01\x01\x06\x00";
+         "\x00\x01\x01\x02" ^ String.make 31 'd';
+         "\x00\x01\x01\x02" ^ String.make 33 'd' ])
 
 let golden_tests =
   [ Alcotest.test_case "encode, encode_buf, encode_raw bytes" `Quick test_golden_encode;
