@@ -1116,7 +1116,16 @@ let serve ?(timeout_s = 30.) ?(linger_s = 1.0) ?(tracer = Bca_obs.Trace.null) ?w
       in
       Result.join (Aba.run_custom_many spec ~cfg ~seeds ~inputs ~driver)
     | Rsm_log { epochs; window; batch; txs_per_node; tx_bytes } ->
-      let params = Rsm.mk_params ~cfg ~coin_seed:seed ~epochs ~window ~batch () in
+      (* forked replicas start at different times, so a late one reads a
+         backlog that already reaches its peers' last epochs, and it may
+         need a pull answer queued behind that backlog before it can
+         commit.  Shedding the far epochs would leave it stuck once its
+         peers finish and serve only pulls; a fixed-length log therefore
+         buffers every one of its epochs (at most [buffer_cap] messages
+         each). *)
+      let params =
+        Rsm.mk_params ~cfg ~coin_seed:seed ~epochs ~window ~batch ~buffer_slack:epochs ()
+      in
       let rn = rnode_make params ~ctrl in
       (* every replica submits the whole cluster workload: commit-time
          dedup makes each transaction commit exactly once, and no
