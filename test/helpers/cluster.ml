@@ -134,6 +134,19 @@ module Gbca (G : Bca_core.Bca_intf.GBCA) = struct
     { decisions; states; exec_outcome; depth = Async.max_depth exec }
 end
 
+(* A random scheduler that never delivers to [pid]: a run under it stops
+   once only envelopes to [pid] are left.  Cuts one party off while the
+   others run, e.g. until all of them have terminated. *)
+let random_avoiding rng ~pid =
+  Async.indexed_scheduler (fun ~delivered:_ exec ->
+      match
+        List.filter
+          (fun i -> (Async.pool_get exec i).Async.dst <> pid)
+          (List.init (Async.pool_size exec) Fun.id)
+      with
+      | [] -> None
+      | slots -> Some (List.nth slots (Rng.int rng (List.length slots))))
+
 (* ------------------------------------------------------------------ *)
 (* Shared assertions                                                    *)
 (* ------------------------------------------------------------------ *)
