@@ -1,8 +1,8 @@
-(* Tests for the simulated threshold-signature scheme (Appendix F interface),
-   plain signatures, and the SHA-256 known answers. *)
+(* Tests for the simulated threshold-signature scheme (Appendix F interface)
+   and SHA-256: the known answers over every kernel this host can run, the
+   kernels against each other, and hashing from two domains at once. *)
 
 module Threshold = Bca_crypto.Threshold
-module Digsig = Bca_crypto.Digsig
 module Sha256 = Bca_crypto.Sha256
 
 let setup () = Threshold.setup ~n:4 ~seed:42L
@@ -65,13 +65,6 @@ let test_dual_thresholds () =
     (Threshold.threshold_of sig2 = 2 && Threshold.threshold_of sig3 = 3);
   Alcotest.(check bool) "both verify" true
     (Threshold.verify t ~tag sig2 && Threshold.verify t ~tag sig3)
-
-let test_digsig_roundtrip () =
-  let t, keys = Digsig.setup ~n:3 ~seed:7L in
-  let s = Digsig.sign keys.(2) ~tag:"hello" in
-  Alcotest.(check bool) "verifies" true (Digsig.verify t ~tag:"hello" s);
-  Alcotest.(check int) "signer" 2 (Digsig.signer s);
-  Alcotest.(check bool) "wrong tag" false (Digsig.verify t ~tag:"bye" s)
 
 let tamper_resistance =
   QCheck2.Test.make ~count:200 ~name:"share for tag A never validates for tag B"
@@ -219,29 +212,79 @@ let length_table =
     "5099c6a56203f9687f7d33f4bfdf576d31dc91f6b695ecea38b2770c87631135";
     "8d39b60b9c767c58975b270c1d6b13c9b4507e5aee7ad496a3528e4c7f880721" ]
 
-let hex s = Sha256.to_hex (Sha256.digest s)
-
 let test_sha256_fips () =
   List.iter
-    (fun (name, msg, expected) -> Alcotest.(check string) name expected (hex msg))
-    [ ("empty", "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-      ("abc", "abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-      ( "448-bit two-block message",
-        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
-      ( "one million 'a'",
-        String.make 1_000_000 'a',
-        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" ) ]
+    (fun (kernel, digest) ->
+      List.iter
+        (fun (name, msg, expected) ->
+          Alcotest.(check string) (kernel ^ ": " ^ name) expected (Sha256.to_hex (digest msg)))
+        [ ("empty", "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+          ("abc", "abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+          ( "448-bit two-block message",
+            "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+          ( "one million 'a'",
+            String.make 1_000_000 'a',
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" ) ])
+    Sha256.kernels
 
 let test_sha256_lengths () =
-  List.iteri
-    (fun len expected ->
-      Alcotest.(check string)
-        (Printf.sprintf "length %d" len)
-        expected
-        (hex (String.init len Char.chr)))
-    length_table;
+  List.iter
+    (fun (kernel, digest) ->
+      List.iteri
+        (fun len expected ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: length %d" kernel len)
+            expected
+            (Sha256.to_hex (digest (String.init len Char.chr))))
+        length_table)
+    Sha256.kernels;
   Alcotest.(check int) "131 lengths" 131 (List.length length_table)
+
+let test_sha256_kernels () =
+  let names = List.map fst Sha256.kernels in
+  Alcotest.(check string) "the portable kernel is always there" "ocaml" (List.hd names);
+  let _, last = List.nth Sha256.kernels (List.length names - 1) in
+  Alcotest.(check bool) "digest is the last kernel" true (last == Sha256.digest)
+
+let pattern len = String.init len (fun i -> Char.chr (((i * 131) + (len * 7)) land 0xFF))
+
+(* Every length across each 55/56/63/64-byte padding edge, up to past the
+   log's ~4.4 KB batch. *)
+let test_sha256_differential () =
+  let reference = List.assoc "ocaml" Sha256.kernels in
+  for len = 0 to 4_500 do
+    let s = pattern len in
+    let expected = reference s in
+    List.iter
+      (fun (kernel, digest) ->
+        if digest s <> expected then
+          Alcotest.failf "%s differs from ocaml at length %d" kernel len)
+      Sha256.kernels
+  done
+
+let kernels_agree =
+  QCheck2.Test.make ~count:200 ~name:"every kernel gives the portable kernel's digest"
+    QCheck2.Gen.(string_size ~gen:char (int_bound 16_384))
+    (fun s ->
+      let expected = List.assoc "ocaml" Sha256.kernels s in
+      List.for_all (fun (_, digest) -> digest s = expected) Sha256.kernels)
+
+(* The kernels keep no state between calls: two domains hashing at once,
+   with every kernel, get the digests one domain gets alone. *)
+let test_sha256_domains () =
+  let inputs = List.init 64 (fun i -> pattern ((i * 97) + 1)) in
+  let expected = List.map Sha256.digest inputs in
+  let run () =
+    List.concat_map
+      (fun (_, digest) -> List.init 10 (fun _ -> List.map digest inputs))
+      Sha256.kernels
+  in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  List.iter
+    (fun rounds ->
+      List.iter (fun got -> Alcotest.(check (list string)) "same digests" expected got) rounds)
+    [ Domain.join d1; Domain.join d2 ]
 
 let test_sha256_raw () =
   let d = Sha256.digest "abc" in
@@ -250,6 +293,10 @@ let test_sha256_raw () =
   Alcotest.(check string) "to_hex of raw bytes" "00ff10" (Sha256.to_hex "\x00\xff\x10")
 
 let () =
+  (* outside any test case, so the log shows whether the SHA-extensions
+     kernel was covered: that depends on the CPU the suite ran on *)
+  Printf.printf "sha256 kernels on this host: %s\n%!"
+    (String.concat ", " (List.map fst Sha256.kernels));
   Alcotest.run "crypto"
     [ ( "threshold",
         [ Alcotest.test_case "share validate" `Quick test_share_validate;
@@ -260,8 +307,11 @@ let () =
           Alcotest.test_case "verify wrong tag" `Quick test_verify_wrong_tag;
           Alcotest.test_case "dual thresholds" `Quick test_dual_thresholds;
           QCheck_alcotest.to_alcotest tamper_resistance ] );
-      ("digsig", [ Alcotest.test_case "roundtrip" `Quick test_digsig_roundtrip ]);
       ( "sha256",
         [ Alcotest.test_case "FIPS 180-4 vectors" `Quick test_sha256_fips;
           Alcotest.test_case "lengths 0..130 against sha256sum" `Quick test_sha256_lengths;
-          Alcotest.test_case "raw digest and hex" `Quick test_sha256_raw ] ) ]
+          Alcotest.test_case "raw digest and hex" `Quick test_sha256_raw;
+          Alcotest.test_case "kernels on this host" `Quick test_sha256_kernels;
+          Alcotest.test_case "kernels agree on lengths 0..4500" `Quick test_sha256_differential;
+          QCheck_alcotest.to_alcotest kernels_agree;
+          Alcotest.test_case "two domains at once" `Quick test_sha256_domains ] ) ]
