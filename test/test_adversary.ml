@@ -1,52 +1,8 @@
-(* Tests for the adversary toolkit: ordering combinators and fault
-   wrappers (the attack drivers themselves are covered in test_attacks). *)
+(* Tests for the adversary toolkit's fault wrappers (the attack drivers
+   themselves are covered in test_attacks). *)
 
-module Orderings = Bca_adversary.Orderings
 module Faults = Bca_adversary.Faults
-module Lockstep = Bca_netsim.Lockstep
 module Node = Bca_netsim.Node
-
-let env eid src dst payload = { Lockstep.eid; src; dst; payload; depth = 1 }
-
-let test_to_ordering_priorities () =
-  let envs = [ env 0 0 1 "c"; env 1 1 1 "a"; env 2 2 1 "b" ] in
-  let rule ~step:_ ~dst:_ (e : string Lockstep.envelope) =
-    match e.Lockstep.payload with
-    | "a" -> Orderings.Deliver 0
-    | "b" -> Orderings.Deliver 1
-    | _ -> Orderings.Deliver 2
-  in
-  let out = Orderings.to_ordering rule ~step:1 ~dst:1 envs in
-  Alcotest.(check (list string)) "priority order" [ "a"; "b"; "c" ]
-    (List.map (fun (e : string Lockstep.envelope) -> e.Lockstep.payload) out)
-
-let test_to_ordering_defer () =
-  let envs = [ env 0 0 1 "keep"; env 1 1 1 "defer" ] in
-  let rule ~step:_ ~dst:_ (e : string Lockstep.envelope) =
-    if e.Lockstep.payload = "defer" then Orderings.Defer else Orderings.Deliver 0
-  in
-  let out = Orderings.to_ordering rule ~step:1 ~dst:1 envs in
-  Alcotest.(check (list string)) "deferred omitted" [ "keep" ]
-    (List.map (fun (e : string Lockstep.envelope) -> e.Lockstep.payload) out)
-
-let test_to_ordering_stable_on_ties () =
-  let envs = [ env 5 0 1 "x"; env 2 1 1 "y"; env 9 2 1 "z" ] in
-  let rule ~step:_ ~dst:_ _ = Orderings.Deliver 0 in
-  let out = Orderings.to_ordering rule ~step:1 ~dst:1 envs in
-  (* equal priorities fall back to send (eid) order *)
-  Alcotest.(check (list string)) "eid order on ties" [ "y"; "x"; "z" ]
-    (List.map (fun (e : string Lockstep.envelope) -> e.Lockstep.payload) out)
-
-let test_self_priority () =
-  Alcotest.(check bool) "self first" true (Orderings.self_priority (env 0 1 1 "m") = Some min_int);
-  Alcotest.(check bool) "others unranked" true (Orderings.self_priority (env 0 1 2 "m") = None)
-
-let test_interleave_priorities () =
-  let prios = Orderings.interleave_priorities [ false; false; true; false; true ] in
-  (* classes alternate when sorted by priority: f t f t f *)
-  let tagged = List.combine prios [ "f1"; "f2"; "t1"; "f3"; "t2" ] in
-  let sorted = List.sort compare tagged |> List.map snd in
-  Alcotest.(check (list string)) "alternating" [ "f1"; "t1"; "f2"; "t2"; "f3" ] sorted
 
 let test_mute () =
   let received = ref 0 in
@@ -126,13 +82,7 @@ let test_crash_after_zero () =
 
 let () =
   Alcotest.run "adversary"
-    [ ( "orderings",
-        [ Alcotest.test_case "priorities" `Quick test_to_ordering_priorities;
-          Alcotest.test_case "defer" `Quick test_to_ordering_defer;
-          Alcotest.test_case "stable ties" `Quick test_to_ordering_stable_on_ties;
-          Alcotest.test_case "self priority" `Quick test_self_priority;
-          Alcotest.test_case "interleave" `Quick test_interleave_priorities ] );
-      ( "faults",
+    [ ( "faults",
         [ Alcotest.test_case "mute" `Quick test_mute;
           Alcotest.test_case "crash at zero" `Quick test_crash_after_zero;
           Alcotest.test_case "tick until crash" `Quick test_crash_after_tick_until_crash;
