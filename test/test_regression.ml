@@ -64,8 +64,8 @@ let outcome_line ~seed ~value ~deliveries ~rounds ~commit_rounds =
 
 let digest_of lines = Digest.to_hex (Digest.string (String.concat "" lines))
 
-let spec_line spec ~cfg seed =
-  let inputs = golden_inputs ~n:cfg.Types.n seed in
+let spec_line ?(inputs = golden_inputs) spec ~cfg seed =
+  let inputs = inputs ~n:cfg.Types.n seed in
   let seed64 = Int64.of_int seed in
   let driver =
     { Aba.drive =
@@ -102,6 +102,17 @@ let test_spec_goldens () =
       Alcotest.(check string) name expected
         (digest_of (List.map (spec_line spec ~cfg) golden_seeds)))
     spec_goldens
+
+(* The simulator benchmark's own shape: byz-strong at n=13, t=4 with
+   alternating inputs (odd pids propose 1), seeds 1-50. *)
+let alternating_inputs ~n _seed = Array.init n (fun i -> Value.of_bool (i land 1 = 1))
+
+let test_n13_golden () =
+  Alcotest.(check string) "byz-strong n=13" "d323d672f2510d7d3c46df99891f771d"
+    (digest_of
+       (List.map
+          (spec_line ~inputs:alternating_inputs Aba.Byz_strong ~cfg:(Types.cfg ~n:13 ~t:4))
+          golden_seeds))
 
 (* Drive [n] parties built by [make] under the random scheduler; [summary]
    reads (committed, commit round, round) from each party's state. *)
@@ -256,6 +267,7 @@ let () =
           Alcotest.test_case "facade run" `Quick test_facade_run;
           Alcotest.test_case "attack replay" `Quick test_attack_replay;
           Alcotest.test_case "per-seed stack outcomes" `Quick test_spec_goldens;
+          Alcotest.test_case "per-seed byz-strong n=13 outcomes" `Quick test_n13_golden;
           Alcotest.test_case "per-seed EV outcomes" `Quick test_ev_goldens;
           Alcotest.test_case "per-seed ACS and MVBA outcomes" `Quick test_subset_goldens;
           Alcotest.test_case "ablation means" `Quick test_ablation_means ] ) ]
