@@ -14,7 +14,18 @@
       legitimately send two echoes: its input and one amplification).
 
     Values are compared with structural equality; they are small protocol
-    variants throughout this codebase. *)
+    variants throughout this codebase.
+
+    Representation: senders index an array, which grows on demand to the
+    highest pid seen (so it ends up the size of the party count); each slot
+    holds that sender's credited values.  A pid outside [\[0, 256)] - an
+    out-of-band source injected into the simulator, a spoofed wire id - is
+    kept in a sorted side list instead, so no sender id can make a quorum
+    allocate more than 256 slots.  Per-value sender counts are kept
+    incrementally, newest distinct value first, so a {!count} is a walk over
+    the two or three distinct values, compared without a polymorphic
+    comparison call when they are constant constructors or physically
+    equal. *)
 
 type 'v t
 

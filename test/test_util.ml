@@ -185,6 +185,129 @@ let quorum_model =
           = Hashtbl.fold (fun _ v' acc -> if v = v' then acc + 1 else acc) model 0)
         [ 0; 1; 2; 3 ])
 
+(* The Hashtbl-and-association-list [Quorum] that the pid-indexed one
+   replaced, kept as the reference it must agree with. *)
+module Ref_quorum = struct
+  type 'v t = { tbl : (int, 'v list) Hashtbl.t; mutable tallies : ('v * int ref) list }
+
+  let create () = { tbl = Hashtbl.create 16; tallies = [] }
+  let copy t = { tbl = Hashtbl.copy t.tbl; tallies = List.map (fun (v, r) -> (v, ref !r)) t.tallies }
+
+  let bump t v =
+    match List.assoc_opt v t.tallies with
+    | Some r -> incr r
+    | None -> t.tallies <- (v, ref 1) :: t.tallies
+
+  let add_first t ~pid v =
+    if Hashtbl.mem t.tbl pid then false
+    else begin
+      Hashtbl.replace t.tbl pid [ v ];
+      bump t v;
+      true
+    end
+
+  let add_value t ~pid v =
+    match Hashtbl.find_opt t.tbl pid with
+    | None ->
+      Hashtbl.replace t.tbl pid [ v ];
+      bump t v;
+      true
+    | Some vs ->
+      if List.mem v vs then false
+      else begin
+        Hashtbl.replace t.tbl pid (v :: vs);
+        bump t v;
+        true
+      end
+
+  let count t v = match List.assoc_opt v t.tallies with Some r -> !r | None -> 0
+  let count_if t p = Hashtbl.fold (fun _ vs acc -> if List.exists p vs then acc + 1 else acc) t.tbl 0
+  let senders t = Hashtbl.length t.tbl
+  let values t = List.map fst t.tallies
+  let all_equal t = match t.tallies with [ (v, _) ] -> Some v | _ -> None
+  let bindings t = List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
+
+  let senders_of t v =
+    List.filter_map (fun (pid, vs) -> if List.mem v vs then Some pid else None) (bindings t)
+
+  let mem_sender t ~pid = Hashtbl.mem t.tbl pid
+  let entries t = List.concat_map (fun (pid, vs) -> List.map (fun v -> (pid, v)) vs) (bindings t)
+end
+
+(* Values of both shapes: constant constructors (immediates) and [Box k],
+   built fresh per message so equal boxes are distinct blocks. *)
+type qv = A | B | Box of int
+
+let qv_gen = QCheck2.Gen.(oneof [ oneofl [ A; B ]; map (fun k -> Box (k + 0)) (int_bound 1) ])
+let qv_all = [ A; B; Box 0; Box 1 ]
+
+type qop = { first : bool; pid : int; v : qv }
+
+(* pids in [-2, n + 3], since an injected envelope may carry an
+   out-of-band source, plus now and then one past the slot array's cap *)
+let qops_gen =
+  QCheck2.Gen.(
+    int_range 1 13 >>= fun n ->
+    let pid = frequency [ (12, int_range (-2) (n + 3)); (1, oneofl [ 255; 256; 1000 ]) ] in
+    let op = map3 (fun first pid v -> { first; pid; v }) bool pid qv_gen in
+    pair (list_size (int_bound 60) op) (list_size (int_bound 20) op) >|= fun ops -> (n, ops))
+
+let qop_print (n, (ops, more)) =
+  let one { first; pid; v } =
+    Printf.sprintf "%s %d %s"
+      (if first then "first" else "value")
+      pid
+      (match v with A -> "A" | B -> "B" | Box k -> Printf.sprintf "Box %d" k)
+  in
+  Printf.sprintf "n=%d [%s] then [%s]" n (String.concat "; " (List.map one ops))
+    (String.concat "; " (List.map one more))
+
+(* Every observation the interface offers, as one comparable value. *)
+let quorum_view ~n ~count ~count_if ~senders ~mem_sender ~values ~all_equal ~senders_of ~entries =
+  ( List.map count qv_all,
+    List.map count_if [ (fun v -> v = A); (function Box _ -> true | A | B -> false) ],
+    senders,
+    List.map (fun pid -> mem_sender pid) (List.init (n + 6) (fun i -> i - 2) @ [ 255; 256; 1000 ]),
+    (values, all_equal),
+    List.map senders_of qv_all,
+    entries )
+
+let view_of q ~n =
+  quorum_view ~n ~count:(Quorum.count q) ~count_if:(Quorum.count_if q) ~senders:(Quorum.senders q)
+    ~mem_sender:(fun pid -> Quorum.mem_sender q ~pid)
+    ~values:(Quorum.values q) ~all_equal:(Quorum.all_equal q) ~senders_of:(Quorum.senders_of q)
+    ~entries:(Quorum.entries q)
+
+let ref_view_of r ~n =
+  quorum_view ~n ~count:(Ref_quorum.count r) ~count_if:(Ref_quorum.count_if r)
+    ~senders:(Ref_quorum.senders r)
+    ~mem_sender:(fun pid -> Ref_quorum.mem_sender r ~pid)
+    ~values:(Ref_quorum.values r) ~all_equal:(Ref_quorum.all_equal r)
+    ~senders_of:(Ref_quorum.senders_of r) ~entries:(Ref_quorum.entries r)
+
+let quorum_reference_model =
+  QCheck2.Test.make ~count:1000 ~name:"quorum matches the Hashtbl reference" ~print:qop_print
+    qops_gen
+    (fun (n, (ops, more)) ->
+      let q = Quorum.create () and r = Ref_quorum.create () in
+      let apply q r { first; pid; v } =
+        let got, want =
+          if first then (Quorum.add_first q ~pid v, Ref_quorum.add_first r ~pid v)
+          else (Quorum.add_value q ~pid v, Ref_quorum.add_value r ~pid v)
+        in
+        if got <> want then QCheck2.Test.fail_reportf "add returned %b, reference %b" got want
+      in
+      List.iter (apply q r) ops;
+      (* a snapshot must not see later additions, nor leak its own *)
+      let qc = Quorum.copy q and rc = Ref_quorum.copy r in
+      let snapshot = view_of qc ~n in
+      List.iter (apply q r) more;
+      if view_of qc ~n <> snapshot then QCheck2.Test.fail_report "copy saw the original change";
+      let after = view_of q ~n in
+      List.iter (apply qc rc) more;
+      if view_of q ~n <> after then QCheck2.Test.fail_report "original saw the copy change";
+      view_of q ~n = ref_view_of r ~n && view_of qc ~n = ref_view_of rc ~n)
+
 let test_summary_mean () =
   let s = Summary.of_floats [ 1.0; 2.0; 3.0; 4.0 ] in
   Alcotest.(check (float 1e-9)) "mean" 2.5 s.Summary.mean;
@@ -246,7 +369,8 @@ let () =
           Alcotest.test_case "all_equal" `Quick test_quorum_all_equal;
           Alcotest.test_case "count_if" `Quick test_quorum_count_if;
           Alcotest.test_case "senders_of" `Quick test_quorum_senders_of;
-          QCheck_alcotest.to_alcotest quorum_model ] );
+          QCheck_alcotest.to_alcotest quorum_model;
+          QCheck_alcotest.to_alcotest quorum_reference_model ] );
       ( "summary",
         [ Alcotest.test_case "mean/min/max" `Quick test_summary_mean;
           Alcotest.test_case "stddev" `Quick test_summary_stddev;
