@@ -233,8 +233,8 @@ let cluster_cmd =
       & opt (some string) None
       & info [ "kill-at" ] ~docv:"PID:TRIGGER"
           ~doc:
-            "With --supervise: SIGKILL node PID at TRIGGER (coin:R or round:R), e.g. \
-             2:coin:1 kills node 2 at its first access of round 1's coin.")
+            "With --supervise: SIGKILL node PID at TRIGGER (coin:R, round:R or commit), \
+             e.g. 2:coin:1 kills node 2 at its first access of round 1's coin.")
   in
   let max_restarts_arg =
     Arg.(
@@ -337,7 +337,7 @@ let cluster_cmd =
             match String.index_opt s ':' with
             | Some i when int_of_string_opt (String.sub s 0 i) <> None ->
               (int_of_string (String.sub s 0 i), String.sub s (i + 1) (String.length s - i - 1))
-            | _ -> fail "bad --kill-at (expected PID:coin:R or PID:round:R)")
+            | _ -> fail "bad --kill-at (expected PID:coin:R, PID:round:R or PID:commit)")
           kill_at
       in
       (* supervision runs over per-node WALs: --wal-dir, or a fresh

@@ -21,8 +21,8 @@
 
    Crash recovery (single agreement only): --wal-dir makes the node keep a
    durable write-ahead log; --recover replays it and rejoins the cluster
-   mid-flight; --kill-at coin:R|round:R makes the node SIGKILL itself at
-   that milestone (the supervisor's chaos trigger). *)
+   mid-flight; --kill-at coin:R|round:R|commit makes the node SIGKILL
+   itself at that milestone (the supervisor's chaos trigger). *)
 
 module Types = Bca_core.Types
 module Value = Bca_util.Value
@@ -33,7 +33,7 @@ module Batcher = Bca_transport.Batcher
 let usage = "bca_node --stack S --n N --t T --me I --seed SEED --inputs BITS \
              --transport unix|tcp --addrs a0,a1,... [--eps E] [--timeout S] [--linger S] \
              [--instances B] [--batch-records R] [--batch-bytes BY] \
-             [--wal-dir DIR] [--recover] [--kill-at coin:R|round:R] \
+             [--wal-dir DIR] [--recover] [--kill-at coin:R|round:R|commit] \
              [--rsm] [--rsm-epochs E] [--rsm-window W] [--rsm-batch-txs K] \
              [--rsm-batch-bytes BY] [--rsm-txs K] [--rsm-tx-bytes BY]"
 
@@ -42,19 +42,23 @@ let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("bca_node: " ^ msg); ex
 (* --kill-at: SIGKILL ourselves the moment the trigger event fires -
    "coin:R" at our first access of round R's coin (the instant the paper's
    binding property must already hold), "round:R" at our entry into round
-   R.  Implemented as a streaming tracer so the kill happens mid-receive,
-   after the triggering delivery was WAL'd but before its consequences hit
-   the wire - the worst torn state recovery must handle. *)
+   R, "commit" at our commit.  Implemented as a streaming tracer so the
+   kill happens mid-receive, after the triggering delivery was WAL'd - for
+   coin:R before that delivery's consequences hit the wire, the worst torn
+   state recovery must handle.  Only "commit" is reached on every
+   schedule: a party can commit and terminate on its peers' committed
+   messages while still in round 1, never revealing a coin. *)
 let parse_kill_at s =
+  let bad () = die "bad --kill-at %S (expected coin:R, round:R or commit)" s in
   match String.index_opt s ':' with
-  | None -> die "bad --kill-at %S (expected coin:R or round:R)" s
+  | None -> if String.equal s "commit" then `Commit else bad ()
   | Some i -> (
     let kind = String.sub s 0 i in
     let arg = String.sub s (i + 1) (String.length s - i - 1) in
     match (kind, int_of_string_opt arg) with
     | "coin", Some r -> `Coin r
     | "round", Some r -> `Round r
-    | _ -> die "bad --kill-at %S (expected coin:R or round:R)" s)
+    | _ -> bad ())
 
 let kill_tracer ~me trigger =
   Bca_obs.Trace.stream (fun { Bca_obs.Event.ev; _ } ->
@@ -62,6 +66,7 @@ let kill_tracer ~me trigger =
         match (trigger, ev) with
         | `Coin r, Bca_obs.Event.Coin_reveal { pid; round; _ } -> pid = me && round = r
         | `Round r, Bca_obs.Event.Round_enter { pid; round } -> pid = me && round = r
+        | `Commit, Bca_obs.Event.Commit { pid; _ } -> pid = me
         | _ -> false
       in
       if fire then Unix.kill (Unix.getpid ()) Sys.sigkill)

@@ -13,10 +13,13 @@
       test with its reproducing seed.
 
    3. Supervised clusters end-to-end: for every stack, real node processes
-      with durable WALs, one node SIGKILLed at its first round-1 coin
-      reveal (the moment binding must already hold), restarted by the
+      with durable WALs, one node SIGKILLed at its commit, restarted by the
       supervisor with --recover; the cluster must still decide unanimously
-      and the victim must report its WAL replay. *)
+      and the victim must report its WAL replay.  The commit is the kill
+      point because every schedule reaches it with at least one delivery
+      in the WAL: a crash-mode party may commit and terminate on a single
+      peer's committed message while still in round 1, so a kill at its
+      round-1 coin reveal does not fire on every schedule. *)
 
 module Value = Bca_util.Value
 module Types = Bca_core.Types
@@ -261,7 +264,7 @@ let test_kills_actually_fire () =
   Alcotest.(check bool) "traffic was buffered across outages" true (!buffered > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Supervised clusters: SIGKILL at the coin reveal, recover, decide      *)
+(* Supervised clusters: SIGKILL at the commit, recover, decide          *)
 (* ------------------------------------------------------------------ *)
 
 let test_supervised_kill_recover_all_stacks () =
@@ -272,7 +275,7 @@ let test_supervised_kill_recover_all_stacks () =
       let wal_dir = temp_dir "bca-sup" in
       Fun.protect ~finally:(fun () -> rm_rf wal_dir) @@ fun () ->
       match
-        Cluster.spawn ~timeout_s:60. ~wal_dir ~kill_at:(1, "coin:1") ~node_exe ~cfg
+        Cluster.spawn ~timeout_s:60. ~wal_dir ~kill_at:(1, "commit") ~node_exe ~cfg
           ~seed:20260808L ~transport:`Unix
           (Cluster.Aba_one { spec; inputs = mixed_inputs cfg.Types.n })
       with
@@ -311,5 +314,5 @@ let () =
           Alcotest.test_case "kill faults fire, restart and buffer" `Quick
             test_kills_actually_fire ] );
       ( "cluster",
-        [ Alcotest.test_case "SIGKILL at the coin reveal, recover, unanimous decision" `Slow
+        [ Alcotest.test_case "SIGKILL at the commit, recover, decide" `Slow
             test_supervised_kill_recover_all_stacks ] ) ]
