@@ -232,6 +232,11 @@ type cluster_result = {
   c_wal_bytes : int;  (** bytes across all WAL files when the run ended *)
 }
 
+val agree : report array -> (cluster_result, string) result
+(** The agreement fold {!spawn} applies to its nodes' reports, one per
+    node: [Error] unless every report holds the same key.  The restart,
+    recovery-byte and WAL-byte fields are left at zero for the caller. *)
+
 (** {1 In-process socket clusters (bench harnesses)}
 
     All [n] nodes in ONE process over real sockets ([`Unix]: a fresh
