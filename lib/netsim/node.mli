@@ -22,7 +22,10 @@ type 'm t = {
           per in-flight envelope, never after a crash. *)
   terminated : unit -> bool;
       (** True once the party has terminated the protocol (stopped for good,
-          not merely decided). *)
+          not merely decided).  Monotone: once it returns [true] it never
+          returns [false] again.  The cluster runtime relies on this: it
+          flushes a node's WAL tail and retires a pipelined instance the
+          first time it reads [true], and never asks again. *)
   tick : step:int -> 'm emit list;
       (** Lockstep-only hook, invoked once at the start of every step; honest
           nodes return []. *)
