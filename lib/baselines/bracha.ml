@@ -26,8 +26,8 @@ type t = {
   cfg : Types.cfg;
   me : Types.pid;
   sender : Types.pid;
-  echoes : digest Quorum.t;
-  readies : digest Quorum.t;
+  mutable echoes : digest Quorum.t;
+  mutable readies : digest Quorum.t;
   mutable held : (digest * string) list;
       (* payloads on hand, with their digests: the sender's [Initial] and,
          if that was missing or wrong, the one pulled payload *)
@@ -36,6 +36,7 @@ type t = {
   mutable fetched : bool;
   mutable served : Types.pid list;  (* requesters already answered *)
   mutable delivered : string option;
+  mutable retired : bool;  (* tallies dropped: only [Fetch] is answered *)
 }
 
 let create cfg ~me ~sender =
@@ -50,7 +51,8 @@ let create cfg ~me ~sender =
     readied = false;
     fetched = false;
     served = [];
-    delivered = None }
+    delivered = None;
+    retired = false }
 
 let broadcast t x =
   assert (t.me = t.sender);
@@ -98,6 +100,7 @@ let awaits_payload t =
 
 let handle t ~from msg =
   match msg with
+  | (Initial _ | Echo _ | Ready _ | Payload _) when t.retired -> []
   | Initial x ->
     if from = t.sender && not t.echoed then begin
       t.echoed <- true;
@@ -128,3 +131,13 @@ let handle t ~from msg =
     end
 
 let delivered t = t.delivered
+
+(* The tallies are what a live broadcast grows with (one entry per
+   sender per digest); a retired one only serves pulls, which need
+   [held] and [served] alone. *)
+let retire t =
+  if not t.retired then begin
+    t.retired <- true;
+    t.echoes <- Quorum.create ();
+    t.readies <- Quorum.create ()
+  end

@@ -54,3 +54,12 @@ val delivered : t -> string option
 (** The reliably delivered payload, once any.  Totality, agreement and
     validity are the standard Bracha guarantees; agreement additionally
     rests on SHA-256 collision resistance. *)
+
+val retire : t -> unit
+(** Shrink a finished instance to what it can still be asked for: the
+    held payloads with their digests, the requesters already served and
+    {!delivered}.  The echo and ready tallies are dropped.  Afterwards
+    {!handle} answers each [Fetch] exactly as before (once per requester,
+    from a held payload) and ignores every other message, so pull
+    totality survives: a lagging party can still get the payload from a
+    holder whose enclosing protocol has terminated.  Idempotent. *)

@@ -11,12 +11,11 @@ type payload = string
    common subset fixes the payloads themselves, digests only give the
    selection rule a compact, deterministic sort key. *)
 let digest (s : payload) : int64 =
+  (* an index loop keeps [h] unboxed: no Int64 allocated per byte *)
   let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001B3L
+  done;
   !h
 
 type msg = Rbc of int * Bracha.msg | Aba of int * Aba_slot.msg
@@ -39,6 +38,8 @@ type t = {
   slots : slot array;
   mutable zero_filled : bool;  (* inputs 0 sent to the remaining slots *)
   mutable terminated : bool;
+  mutable final : (int * payload) list option;
+      (* the output, recorded at termination: the slots' ABAs are gone *)
 }
 
 let wrap j msgs = List.map (fun m -> Aba (j, m)) msgs
@@ -103,14 +104,15 @@ let create p ~me ~proposal =
         Array.init p.cfg.Types.n (fun j ->
             { rbc = Bracha.create p.cfg ~me ~sender:j; aba = None; buffered = [] });
       zero_filled = false;
-      terminated = false }
+      terminated = false;
+      final = None }
   in
   let init =
     List.map (fun m -> Rbc (me, m)) (Bracha.broadcast t.slots.(me).rbc proposal)
   in
   (t, init)
 
-let output t =
+let subset t =
   let all_committed =
     Array.for_all
       (fun slot -> match slot.aba with Some aba -> Aba_slot.committed aba <> None | None -> false)
@@ -131,6 +133,8 @@ let output t =
       t.slots;
     if !missing then None else Some (List.sort (fun (a, _) (b, _) -> Int.compare a b) !accepted)
   end
+
+let output t = if t.terminated then t.final else subset t
 
 (* Multivalued selection: the payload backing the most accepted slots.
    The accepted set has >= n - t slots, so >= t + 1 carry an honest
@@ -178,15 +182,31 @@ let rbc_handle t ~from j m =
   | Some slot -> List.map (fun m -> Rbc (j, m)) (Bracha.handle slot.rbc ~from m)
   | None -> []
 
+(* Termination keeps only what a finished instance can still be asked
+   for: the output, and per slot the broadcast's pull state (held
+   payloads, requesters served, the delivered payload).  Each slot's ABA
+   rounds and buffered traffic are dropped - they answer nothing once
+   every slot has terminated. *)
+let retire t o =
+  t.final <- Some o;
+  t.terminated <- true;
+  Array.iter
+    (fun slot ->
+      slot.aba <- None;
+      slot.buffered <- [];
+      Bracha.retire slot.rbc)
+    t.slots
+
 (* Once terminated, an instance still answers payload pulls: a replica
    that never got slot [j]'s [Initial] may reach its ready quorum after
    every holder has terminated, and only a holder's answer lets it
-   deliver (Bracha's totality, and so the common subset everywhere). *)
+   deliver (Bracha's totality, and so the common subset everywhere).  A
+   retired broadcast answers [Fetch] and ignores the rest. *)
 let handle t ~from msg =
   if t.terminated then
     match msg with
-    | Rbc (j, (Bracha.Fetch _ as m)) -> rbc_handle t ~from j m
-    | Rbc _ | Aba _ -> []
+    | Rbc (j, m) -> rbc_handle t ~from j m
+    | Aba _ -> []
   else begin
     let out =
       match msg with
@@ -202,7 +222,9 @@ let handle t ~from msg =
             []))
     in
     let out = out @ progress t in
-    if output t <> None && all_slots_terminated t then t.terminated <- true;
+    if all_slots_terminated t then begin
+      match subset t with Some o -> retire t o | None -> ()
+    end;
     out
   end
 

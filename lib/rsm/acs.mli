@@ -27,6 +27,14 @@
     [Fetch] (and ignores everything else): a lagging party may need a
     payload that only terminated parties hold.
 
+    {b What a terminated instance keeps.}  Exactly what it can still be
+    asked for: its {!output}, recorded at termination, and per slot the
+    broadcast's pull state ({!Bca_baselines.Bracha.retire}: held payloads
+    with their digests, requesters served, the delivered payload).  Every
+    slot's ABA and its buffered traffic are dropped at termination, so a
+    long log of finished instances costs its payloads, not its protocol
+    history.
+
     {b Multivalued agreement} is a pure selection over that output, the
     Mizrahi Erbes-Wattenhofer reduction of multivalued agreement to
     crusader-style dissemination plus binary agreement: the Bracha
@@ -48,7 +56,7 @@ type payload = string
 val digest : payload -> int64
 (** FNV-1a (64-bit) of the payload - the deterministic selection key.  Not
     a vote: the broadcasts agree on SHA-256 digests, this only orders the
-    selection's ties. *)
+    selection's ties.  Allocates nothing. *)
 
 type msg =
   | Rbc of int * Bca_baselines.Bracha.msg  (** proposer slot *)
@@ -70,7 +78,8 @@ val handle : t -> from:Types.pid -> msg -> msg list
 val output : t -> (int * payload) list option
 (** [Some slots] once the common subset is decided and all accepted
     payloads are delivered: the accepted (proposer, payload) pairs, sorted
-    by proposer.  Guaranteed identical at every honest party. *)
+    by proposer.  Guaranteed identical at every honest party, and
+    unchanged by termination. *)
 
 val decided : t -> payload option
 (** The multivalued decision: the plurality payload of {!output}, once

@@ -57,7 +57,12 @@ let decode_batch s =
   in
   go 0 []
 
-type inst = { acs : Acs.t; proposed : tx list }
+type tx_state = Submitted | Committed
+
+type inst = {
+  acs : Acs.t;
+  mutable proposed : tx list;  (* our batch, until the epoch commits *)
+}
 
 type t = {
   p : params;
@@ -70,8 +75,9 @@ type t = {
   mutable pend_front : tx list;  (* submission queue, FIFO order... *)
   mutable pend_back : tx list;  (* ...plus its reversed tail *)
   mutable pending_n : int;
-  seen : (tx, unit) Hashtbl.t;  (* every tx ever submitted here *)
-  committed_txs : (tx, unit) Hashtbl.t;
+  txs : (tx, tx_state) Hashtbl.t;
+      (* one entry per tx submitted here or committed: a commit overwrites
+         the submission, so a committed tx costs one entry *)
   mutable log : tx list;  (* committed, reverse order *)
   mutable terminated : bool;
   on_commit : (epoch:int -> tx list -> unit) option;
@@ -136,6 +142,9 @@ let rec try_open t =
   end
   else []
 
+let committed t tx =
+  match Hashtbl.find_opt t.txs tx with Some Committed -> true | Some Submitted | None -> false
+
 let commit t inst slots =
   let e = t.commit_next in
   let fresh = ref [] in
@@ -143,8 +152,8 @@ let commit t inst slots =
     (fun (_, payload) ->
       List.iter
         (fun tx ->
-          if not (Hashtbl.mem t.committed_txs tx) then begin
-            Hashtbl.replace t.committed_txs tx ();
+          if not (committed t tx) then begin
+            Hashtbl.replace t.txs tx Committed;
             t.log <- tx :: t.log;
             fresh := tx :: !fresh
           end)
@@ -155,11 +164,13 @@ let commit t inst slots =
      another replica's accepted batch already carried in. *)
   if not (List.exists (fun (j, _) -> j = t.me) slots) then begin
     let rejected =
-      List.filter (fun tx -> not (Hashtbl.mem t.committed_txs tx)) inst.proposed
+      List.filter (fun tx -> not (committed t tx)) inst.proposed
     in
     t.pend_front <- rejected @ t.pend_front;
     t.pending_n <- t.pending_n + List.length rejected
   end;
+  (* a committed epoch keeps only its ACS, which retires itself *)
+  inst.proposed <- [];
   if Trace.enabled t.tracer then
     Trace.emit t.tracer
       (Event.Slot_commit { pid = t.me; slot = e; txs = List.length fresh });
@@ -200,8 +211,7 @@ let create ?on_commit ?(tracer = Trace.null) p ~me =
       pend_front = [];
       pend_back = [];
       pending_n = 0;
-      seen = Hashtbl.create 64;
-      committed_txs = Hashtbl.create 64;
+      txs = Hashtbl.create 64;
       log = [];
       terminated = false;
       on_commit;
@@ -211,9 +221,9 @@ let create ?on_commit ?(tracer = Trace.null) p ~me =
   (t, init)
 
 let submit t tx =
-  if Hashtbl.mem t.seen tx || Hashtbl.mem t.committed_txs tx then false
+  if Hashtbl.mem t.txs tx then false
   else begin
-    Hashtbl.replace t.seen tx ();
+    Hashtbl.replace t.txs tx Submitted;
     t.pend_back <- tx :: t.pend_back;
     t.pending_n <- t.pending_n + 1;
     true

@@ -24,7 +24,15 @@
     Anything past [window + buffer_slack] epochs ahead, or beyond
     [buffer_cap] messages for one epoch, is shed with a [Buffer_drop]
     observability event: a Byzantine flood of far-future traffic cannot
-    grow memory without bound. *)
+    grow memory without bound.
+
+    A committed epoch keeps only what the log can still be asked for: its
+    common subset, retired at termination to its output and pull state
+    ({!Acs}), so a finished log keeps answering payload pulls.  The
+    epoch's own proposed batch is dropped at commit, and a committed
+    transaction's submission record is overwritten by its commit record
+    (which is what makes {!submit} refuse it), so memory per finished
+    epoch is bounded by its payloads, not by its protocol history. *)
 
 module Types = Bca_core.Types
 

@@ -1402,7 +1402,9 @@ let rsm_probe_commit pr ~epoch:_ txs =
       pr.pr_committed <- pr.pr_committed + 1;
       pr.pr_last_commit <- now;
       match Hashtbl.find_opt pr.pr_submit tx with
-      | Some ts -> pr.pr_lats <- (now -. ts) :: pr.pr_lats
+      | Some ts ->
+        Hashtbl.remove pr.pr_submit tx;
+        pr.pr_lats <- (now -. ts) :: pr.pr_lats
       | None -> ())
     txs
 

@@ -372,63 +372,65 @@ let frame_words f = words_of_bytes (frame_bytes f)
 (* ---- stream reassembly --------------------------------------------- *)
 
 module Reader = struct
+  (* Received bytes are staged in [pending] and moved into [snap], an
+     immutable string the returned views alias, only once the frame at
+     [off] can be complete ([need] bytes on hand): a refill copies the
+     unconsumed tail of [snap] plus [pending] and nothing already
+     consumed.  However the stream is chunked, a byte is copied into
+     [pending] once and into a snapshot at most three times: at the
+     refill after it arrives, when its frame's header completes and when
+     its body does. *)
   type t = {
     max_body : int;
-    buf : Buffer.t;
-    (* consumed prefix of [buf]; compacted once it outgrows the tail *)
-    mutable off : int;
-    (* cached [Buffer.contents buf]: [Buffer.contents] copies the whole
-       buffered stream, so taking it per [next] call makes a drain loop
-       O(n^2) in buffered bytes; refresh only after [feed] appends *)
+    pending : Buffer.t;  (* fed, not yet in [snap] *)
     mutable snap : string;
-    mutable snap_stale : bool;
+    mutable off : int;  (* consumed prefix of [snap] *)
+    mutable need : int;  (* bytes from [off] the next frame needs to decode *)
     mutable poison : error option;
   }
 
   let create ?(max_body = default_max_body) () =
-    { max_body; buf = Buffer.create 4096; off = 0; snap = ""; snap_stale = false; poison = None }
+    { max_body; pending = Buffer.create 4096; snap = ""; off = 0; need = header_bytes; poison = None }
 
   let feed t b ~pos ~len =
     if not (Bca_util.Bounds.slice_ok ~pos ~len (Bytes.length b)) then
       invalid_arg "Wire.Reader.feed: slice out of bounds";
-    Buffer.add_subbytes t.buf b pos len;
-    if len > 0 then t.snap_stale <- true
+    Buffer.add_subbytes t.pending b pos len
 
-  let buffered t = Buffer.length t.buf - t.off
+  let buffered t = String.length t.snap - t.off + Buffer.length t.pending
 
-  let snapshot t =
-    if t.snap_stale then begin
-      t.snap <- Buffer.contents t.buf;
-      t.snap_stale <- false
-    end;
-    t.snap
-
-  let compact t =
-    if t.off > 4096 && t.off * 2 > Buffer.length t.buf then begin
-      let tail = Buffer.sub t.buf t.off (Buffer.length t.buf - t.off) in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf tail;
-      t.off <- 0;
-      t.snap <- tail;
-      t.snap_stale <- false
+  let refill t =
+    let tail = String.length t.snap - t.off and fresh = Buffer.length t.pending in
+    if fresh > 0 then begin
+      let b = Bytes.create (tail + fresh) in
+      Bytes.blit_string t.snap t.off b 0 tail;
+      Buffer.blit t.pending 0 b tail fresh;
+      Buffer.clear t.pending;
+      t.snap <- Bytes.unsafe_to_string b;
+      t.off <- 0
     end
 
+  (* Fewer than [need] bytes decode to [Truncated] again - the header
+     that set [need] is unchanged - so the decode is skipped. *)
   let next_view t =
     match t.poison with
     | Some e -> Error e
-    | None -> (
-      let s = snapshot t in
-      match decode_frame_view ~max_body:t.max_body s ~pos:t.off with
-      | Ok (view, consumed) ->
-        t.off <- t.off + consumed;
-        (* the view aliases the pre-compaction snapshot string, which is
-           immutable: compacting only swaps [t.snap] for a fresh string *)
-        compact t;
-        Ok (Some view)
-      | Error (Truncated _) -> Ok None
-      | Error e ->
-        t.poison <- Some e;
-        Error e)
+    | None ->
+      if buffered t < t.need then Ok None
+      else begin
+        refill t;
+        match decode_frame_view ~max_body:t.max_body t.snap ~pos:t.off with
+        | Ok (view, consumed) ->
+          t.off <- t.off + consumed;
+          t.need <- header_bytes;
+          Ok (Some view)
+        | Error (Truncated { need; _ }) ->
+          t.need <- need;
+          Ok None
+        | Error e ->
+          t.poison <- Some e;
+          Error e
+      end
 
   let next t =
     match next_view t with

@@ -256,8 +256,14 @@ module Reader : sig
   val next_view : t -> (view option, error) result
   (** {!next} without the body copy: the view aliases the reader's internal
       snapshot string, which is immutable and therefore stays valid across
-      later [feed]/[next] calls (compaction swaps in a new string, it never
-      mutates the old one).  The transport receive path uses this. *)
+      later [feed]/[next] calls (a refill swaps in a new string, it never
+      mutates the old one).  The transport receive path uses this.
+
+      Copy rule: fed bytes are staged and moved into a fresh snapshot only
+      once the next frame can be complete, and a refill copies only bytes
+      not yet consumed - so each received byte is copied a bounded number
+      of times (once into staging, at most three times into a snapshot),
+      whatever the chunking. *)
 
   val buffered : t -> int
   (** Bytes fed but not yet consumed as frames. *)

@@ -1,7 +1,8 @@
 (* Tests for the ACS application: agreement on the subset, validity
    (>= n - t slots, honest proposals only unless delivered), termination,
    behaviour with a crashed proposer, the hash-based broadcast's payload
-   pull, and an equivocating proposer. *)
+   pull, an equivocating proposer, and what a terminated instance still
+   answers. *)
 
 module Value = Bca_util.Value
 module Rng = Bca_util.Rng
@@ -250,6 +251,70 @@ let test_equivocating_proposer () =
   Alcotest.(check bool) "wrong answers reached honest replicas" true (!wrong_answers > 0);
   Alcotest.(check bool) "the equivocator's slot was accepted somewhere" true (!accepted > 0)
 
+(* ------------------------------------------------------------------ *)
+(* A terminated instance                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Termination retires an instance down to its output and its pull
+   state.  Recorded at the delivery that terminates each replica,
+   [output] and [decided] read the same afterwards; the retired instance
+   still answers a [Fetch] for an accepted payload once per requester,
+   and nothing else. *)
+let test_retired_instance () =
+  let params = { Acs.cfg; coin_seed = 19L } in
+  let proposal pid = if pid < 2 then "v" else Printf.sprintf "p%d" pid in
+  let states = Array.make 4 None and at_end = Array.make 4 None in
+  let exec =
+    Async.create ~n:4 ~make:(fun pid ->
+        let st, init = Acs.create params ~me:pid ~proposal:(proposal pid) in
+        states.(pid) <- Some st;
+        let receive ~src m =
+          let out = Acs.handle st ~from:src m in
+          if Acs.terminated st && at_end.(pid) = None then
+            at_end.(pid) <- Some (Acs.output st, Acs.decided st);
+          List.map (fun m -> Node.Broadcast m) out
+        in
+        ( Node.make ~receive ~terminated:(fun () -> Acs.terminated st) (),
+          List.map (fun m -> Node.Broadcast m) init ))
+  in
+  Alcotest.(check bool) "terminated" true (Async.run exec Async.fifo_scheduler = `All_terminated);
+  let subset = Alcotest.(option (list (pair int string))) in
+  Array.iteri
+    (fun pid st ->
+      match (st, at_end.(pid)) with
+      | Some st, Some (output, decided) ->
+        Alcotest.(check subset) "output as at termination" output (Acs.output st);
+        Alcotest.(check (option string)) "decided as at termination" decided (Acs.decided st);
+        Alcotest.(check (option string)) "the plurality" (Some "v") (Acs.decided st);
+        let j, payload =
+          match Acs.output st with
+          | Some (slot :: _) -> slot
+          | Some [] | None -> Alcotest.fail "empty output"
+        in
+        let fetch = Acs.Rbc (j, Bracha.Fetch (Sha256.digest payload)) in
+        let answer = [ Acs.Rbc (j, Bracha.Payload payload) ] in
+        let requester = (pid + 1) mod 4 in
+        Alcotest.(check bool) "first pull answered" true
+          (Acs.handle st ~from:requester fetch = answer);
+        Alcotest.(check bool) "repeat pull ignored" true (Acs.handle st ~from:requester fetch = []);
+        Alcotest.(check bool) "another requester answered" true
+          (Acs.handle st ~from:((pid + 2) mod 4) fetch = answer);
+        Alcotest.(check bool) "other traffic ignored" true
+          (Acs.handle st ~from:requester (Acs.Rbc (j, Bracha.Ready (Sha256.digest payload))) = [])
+      | _ -> Alcotest.fail "replica missing or never terminated")
+    states
+
+(* FNV-1a 64-bit reference vectors, and no allocation per byte. *)
+let test_digest () =
+  List.iter
+    (fun (s, hex) -> Alcotest.(check string) (Printf.sprintf "fnv1a64 %S" s) hex (Printf.sprintf "%016Lx" (Acs.digest s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ];
+  let s = String.make 100_000 'x' in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Acs.digest s) : int64);
+  let words = Gc.minor_words () -. before in
+  if words > 64. then Alcotest.failf "digest of 100 kB allocated %.0f words" words
+
 let () =
   Alcotest.run "acs"
     [ ( "acs",
@@ -260,4 +325,8 @@ let () =
           Alcotest.test_case "pull after every holder terminated" `Quick
             test_pull_after_termination;
           Alcotest.test_case "equivocating proposer, seeds 1-50" `Quick
-            test_equivocating_proposer ] ) ]
+            test_equivocating_proposer ] );
+      ( "terminated",
+        [ Alcotest.test_case "retired instance answers as at termination" `Quick
+            test_retired_instance;
+          Alcotest.test_case "FNV-1a digest vectors" `Quick test_digest ] ) ]

@@ -1,8 +1,8 @@
 (* The windowed replicated log: identical duplicate-free logs under the
    pipelined executor, cross-replica dedup, bounded future buffering,
    prefix consistency under chaos plans (kills included) and under an
-   equivocating proposer, and payload pulls answered by replicas whose
-   whole log has terminated. *)
+   equivocating proposer, payload pulls answered by replicas whose whole
+   log has terminated, and the memory a finished epoch keeps. *)
 
 module Rsm = Bca_rsm.Rsm
 module Types = Bca_core.Types
@@ -354,6 +354,56 @@ let test_buffer_bounded () =
   Alcotest.(check int) "held unchanged" 3 (Rsm.buffered_msgs st)
 
 (* ------------------------------------------------------------------ *)
+(* What a finished log keeps                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A 400-epoch log of 25 64-byte transactions per epoch, every
+   transaction submitted to all four replicas, run to termination under
+   the FIFO schedule.  What a replica still has to keep per finished
+   epoch is tied to the committed payload: each of the n accepted batches
+   (held for pulls; identical batches here, so n copies of the epoch's
+   payload), the log itself and the dedup table - about 7.6 bytes per
+   committed payload byte, ACS records included.  A finished epoch that
+   kept its live protocol state (every ABA round, the echo and ready
+   tallies, the proposed batch, the submission table) measured 20.7. *)
+let test_finished_epochs_bounded () =
+  let n = 4 and epochs = 400 and per_epoch = 25 and tx_bytes = 64 in
+  let p =
+    Rsm.mk_params ~cfg:(Types.cfg ~n ~t:1) ~coin_seed:77L ~epochs ~window:4
+      ~batch:{ Rsm.max_txs = per_epoch; max_bytes = 64 * 1024 } ()
+  in
+  let txs =
+    List.init (epochs * per_epoch) (fun i ->
+        let head = Printf.sprintf "m%07d" i in
+        head ^ String.make (tx_bytes - String.length head) '.')
+  in
+  let states = Array.make n None in
+  let exec =
+    Async.create ~n ~make:(fun pid ->
+        let st, init = Rsm.create p ~me:pid in
+        states.(pid) <- Some st;
+        List.iter (fun tx -> ignore (Rsm.submit st tx : bool)) txs;
+        (Rsm.node st, List.map (fun m -> Node.Broadcast m) init))
+  in
+  let outcome = Async.run ~max_deliveries:2_000_000 exec Async.fifo_scheduler in
+  Alcotest.(check bool) "terminated" true (outcome = `All_terminated);
+  let l = check_logs states in
+  let payload_bytes = List.fold_left (fun acc tx -> acc + String.length tx) 0 l in
+  Alcotest.(check bool) "most epochs carry a full batch" true
+    (payload_bytes >= (epochs - 8) * per_epoch * tx_bytes);
+  Array.iteri
+    (fun pid st ->
+      match st with
+      | None -> Alcotest.fail "replica missing"
+      | Some st ->
+        let bytes = 8 * Obj.reachable_words (Obj.repr st) in
+        let ratio = Float.of_int bytes /. Float.of_int payload_bytes in
+        if ratio > 10. then
+          Alcotest.failf "replica %d keeps %d B per epoch for %d B of committed payload (%.1fx > 10x)"
+            pid (bytes / epochs) (payload_bytes / epochs) ratio)
+    states
+
+(* ------------------------------------------------------------------ *)
 (* Observability                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -406,7 +456,9 @@ let () =
           Alcotest.test_case "netstring roundtrip" `Quick test_netstring_roundtrip;
           Alcotest.test_case "silent replica" `Quick test_silent_replica;
           Alcotest.test_case "pull after every holder finished its log" `Quick
-            test_pull_after_log_terminated ] );
+            test_pull_after_log_terminated;
+          Alcotest.test_case "finished epochs keep a payload-bounded state" `Quick
+            test_finished_epochs_bounded ] );
       ( "chaos",
         [ QCheck_alcotest.to_alcotest prop_prefix_consistency;
           Alcotest.test_case "equivocating proposer, seeds 1-50" `Quick test_equivocating_proposer;

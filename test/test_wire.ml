@@ -591,6 +591,53 @@ let prop_reader_chunking =
         frames;
       true)
 
+(* A view handed out by [next_view] aliases the reader's snapshot; later
+   feeds and refills must never change its bytes.  Bodies of up to 3 kB
+   make the stream outgrow any one chunk, so snapshots are replaced many
+   times while earlier views are still held. *)
+let prop_reader_views_stable =
+  Test.make ~count:200 ~name:"Reader views stay byte-identical after later feeds"
+    (Gen.pair
+       (Gen.list_size (Gen.int_range 1 12) (Gen.string_size ~gen:Gen.char (Gen.int_range 0 3000)))
+       (Gen.int_range 1 5000))
+    (fun (bodies, chunk) ->
+      let stream =
+        String.concat ""
+          (List.mapi (fun i body -> W.encode_raw ~codec_id:(i mod 7) ~sender:i body) bodies)
+      in
+      let r = W.Reader.create () in
+      let views = ref [] in
+      let rec drain () =
+        match W.Reader.next_view r with
+        | Ok (Some v) ->
+          views := (v, W.view_body v) :: !views;
+          drain ()
+        | Ok None -> ()
+        | Error e -> Test.fail_reportf "reader error: %s" (W.error_to_string e)
+      in
+      let read_buf = Bytes.create chunk in
+      let pos = ref 0 in
+      while !pos < String.length stream do
+        let len = min chunk (String.length stream - !pos) in
+        Bytes.blit_string stream !pos read_buf 0 len;
+        W.Reader.feed r read_buf ~pos:0 ~len;
+        Bytes.fill read_buf 0 chunk '\xAA';
+        pos := !pos + len;
+        drain ()
+      done;
+      let views = List.rev !views in
+      if List.length views <> List.length bodies then
+        Test.fail_reportf "got %d views for %d frames" (List.length views) (List.length bodies);
+      List.iteri
+        (fun i ((v, at_return), body) ->
+          if not (String.equal (W.view_body v) at_return) then
+            Test.fail_reportf "view %d changed after later feeds" i;
+          if not (String.equal at_return body) then Test.fail_reportf "view %d has the wrong body" i;
+          if v.W.v_sender <> i || v.W.v_codec_id <> i mod 7 then
+            Test.fail_reportf "view %d has the wrong header" i)
+        (List.combine views bodies);
+      true)
+
 let test_reader_poisoned () =
   let good = W.encode Wf.byz_strong ~sender:1 (Byz_strong.Committed Value.V0) in
   let bad = patch good 12 (Char.chr (Char.code good.[12] lxor 1)) in
@@ -941,7 +988,7 @@ let () =
             Alcotest.test_case "trailing body bytes" `Quick test_trailing_body_bytes ] );
       ("batch", batch_tests);
       ( "reader",
-        List.map QCheck_alcotest.to_alcotest [ prop_reader_chunking ]
+        List.map QCheck_alcotest.to_alcotest [ prop_reader_chunking; prop_reader_views_stable ]
         @ [ Alcotest.test_case "poisoned reader stays poisoned" `Quick test_reader_poisoned;
             Alcotest.test_case "codec ids distinct" `Quick test_codec_ids_distinct ] );
       ("crc", crc_tests);
