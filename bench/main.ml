@@ -1,42 +1,25 @@
-(* Benchmark harness: regenerates every table of the paper (Tables 1 and 2),
-   replays the Appendix A attack experiments, adds a message-complexity
-   scaling sweep with a simulator-throughput benchmark (JSON-reported), and
-   times the simulator stacks with Bechamel.
+(* Throughput harness for the socket hot paths: decisions/sec of the
+   batched multi-instance ABA cluster and committed-tx/s of the windowed
+   replicated log, each with its CI floor.
 
-   Usage: main.exe [table1|table2|attack|scaling|chaos|wire|cluster|recovery|rsm|
-                    fuzz|ablation|bechamel|all]
-                   [--runs K] [--seed S] [--json PATH] [--metrics] [--trace PATH]
-   Default: all.  Monte-Carlo run counts are chosen so the full harness
-   completes in well under a minute; EXPERIMENTS.md records a reference
-   output.  The scaling and chaos sections write per-stack throughput
-   (deliveries/sec and wall-clock) to PATH, default BENCH_netsim.json; the
-   chaos section exits non-zero on any safety violation, so it doubles as
-   the CI chaos smoke job.
+   Usage: main.exe [cluster|rsm|all] [--runs K] [--seed S] [--json PATH] [--floor DPS]
+   Default: all.  --json PATH (default BENCH_netsim.json) receives the
+   "cluster" and "rsm" results.  --floor DPS fails the process when the
+   tcp batched cluster mode decides below DPS decisions/sec; the rsm
+   section always gates (window 4 strictly above window 1 at every point,
+   plus an absolute tcp floor).  --runs scales the rsm workload.
 
-   --metrics additionally runs every stack under instrumented chaos plans
-   and reports per-round / per-phase aggregates (Bca_obs.Metrics), merged
-   into the JSON report.  --trace PATH captures the broken_run violation
-   as a JSONL event log at PATH, then parses and replays it, failing the
-   process unless the replayed trace is bit-identical.
+   The paper's tables and the Appendix A attacks are printed by
+   [bca tables] and [bca attack]; the chaos, fuzz and recovery gates run
+   under [dune runtest].
 
    Any section that raises prints the reproducing seed before the process
    exits non-zero: every number in the harness derives from --seed, so
    re-running with the printed value reproduces the failure exactly. *)
 
-module Summary = Bca_util.Summary
 module Tablefmt = Bca_util.Tablefmt
-module Value = Bca_util.Value
 module Types = Bca_core.Types
 module Aba = Bca_core.Aba
-module Table1 = Bca_experiments.Table1
-module Table2 = Bca_experiments.Table2
-module Cz_attack = Bca_adversary.Cz_attack
-module Mmr_attack = Bca_adversary.Mmr_attack
-module Campaign = Bca_experiments.Chaos_campaign
-module Fuzz = Bca_experiments.Fuzz_campaign
-module Mc = Bca_experiments.Mc
-module Metrics = Bca_obs.Metrics
-module Trace = Bca_obs.Trace
 module Cluster = Bca_transport.Cluster
 
 let opt_runs : int option ref = ref None
@@ -45,214 +28,14 @@ let opt_seed : int64 option ref = ref None
 
 let opt_json : string option ref = ref None
 
-let opt_metrics = ref false
-
-let opt_trace : string option ref = ref None
-
 let opt_floor : float option ref = ref None
-
-let mc_runs () = match !opt_runs with Some r -> r | None -> 4000
 
 let root_seed () = match !opt_seed with Some s -> s | None -> 20260706L
 
 let json_path () = match !opt_json with Some p -> p | None -> "BENCH_netsim.json"
 
-let fmt_mean s = Printf.sprintf "%.2f ± %.2f" s.Summary.mean s.Summary.ci95
-
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* ------------------------------------------------------------------ *)
-(* Table 1: crash-fault setting.                                        *)
-(* ------------------------------------------------------------------ *)
-
-let table1 () =
-  let runs = mc_runs () and seed = root_seed () in
-  section "Table 1 - crash faults (n=5, t=2): expected broadcasts to termination";
-  let strong = Table1.strong ~runs ~seed in
-  let weak eps = Table1.weak ~eps ~runs ~seed:(Int64.add seed 1L) in
-  let w2 = weak 0.5 and w4 = weak 0.25 and w8 = weak 0.125 in
-  Tablefmt.print
-    ~header:[ "cell"; "Aguilera-Toueg"; "paper (ours)"; "measured" ]
-    [ [ "strong coin"; "-"; "7"; fmt_mean strong ];
-      [ "weak coin e=1/2"; "-"; "3/e+4 = 10"; fmt_mean w2 ];
-      [ "weak coin e=1/4"; "-"; "3/e+4 = 16"; fmt_mean w4 ];
-      [ "weak coin e=1/8"; "-"; "3/e+4 = 28"; fmt_mean w8 ] ];
-  print_newline ();
-  print_endline "Distribution of the strong-coin cell (geometric coin-retry mixture):";
-  Format.printf "%a" Bca_util.Histogram.pp
-    (Bca_util.Histogram.of_floats (Table1.strong_raw ~runs:4000 ~seed));
-  print_newline ();
-  print_endline "n-independence of the constant-round cells:";
-  Tablefmt.print
-    ~header:[ "n"; "t"; "strong (paper 7) | weak e=1/4 (paper 16)" ]
-    (List.map
-       (fun n ->
-         [ string_of_int n; string_of_int ((n - 1) / 2);
-           fmt_mean
-             (Table1.strong_n ~n ~runs:800
-                ~seed:(Int64.add seed (Int64.of_int (12 + n))))
-           ^ " | weak e=1/4: "
-           ^ fmt_mean
-               (Table1.weak_n ~n ~eps:0.25 ~runs:800
-                  ~seed:(Int64.add seed (Int64.of_int (20 + n)))) ])
-       [ 5; 9; 13 ]);
-  print_newline ();
-  print_endline "Local coin (expected rounds to termination, worst-case adversary):";
-  let rows =
-    List.map
-      (fun n ->
-        let ours = Table1.local_rounds ~n ~runs:600 ~seed:(Int64.add seed 2L) in
-        let benor = Table1.benor_rounds ~n ~runs:600 ~seed:(Int64.add seed 3L) in
-        [ string_of_int n;
-          Printf.sprintf "O(2^%d) = %.0f" (2 * n) (2.0 ** float_of_int (2 * n));
-          fmt_mean benor;
-          Printf.sprintf "O(2^%d) = %.0f" n (2.0 ** float_of_int n);
-          fmt_mean ours ])
-      [ 3; 5; 7 ]
-  in
-  Tablefmt.print
-    ~header:
-      [ "n"; "Ben-Or bound (A-T)"; "Ben-Or measured"; "ours bound (paper)"; "ours measured" ]
-    rows;
-  print_endline
-    "(Aguilera-Toueg's O(2^2n) is an upper bound; the strongest adversary\n\
-     implemented here extracts ~2^(n-1) rounds from Ben-Or.  The paper's\n\
-     improvement is the proven guarantee: O(2^n) with the same adversary\n\
-     class.  See EXPERIMENTS.md.)"
-
-(* ------------------------------------------------------------------ *)
-(* Table 2: Byzantine setting.                                          *)
-(* ------------------------------------------------------------------ *)
-
-let table2 () =
-  let runs = mc_runs () and seed = root_seed () in
-  section "Table 2 - Byzantine faults (n=4, t=1): expected broadcasts to termination";
-  let s1 = Table2.strong_t1 ~runs ~seed:(Int64.add seed 4L) in
-  let s2 = Table2.strong_2t1 ~runs ~seed:(Int64.add seed 5L) in
-  let ts = Table2.tsig ~runs ~seed:(Int64.add seed 6L) in
-  let weak eps = Table2.weak_t1 ~eps ~runs:2000 ~seed:(Int64.add seed 7L) in
-  let w2 = weak 0.5 and w4 = weak 0.25 in
-  Tablefmt.print
-    ~header:[ "cell"; "[28] MMR15"; "[9] CZ"; "[11] Crain"; "paper (ours)"; "measured" ]
-    [ [ "strong t+1"; "-"; "-"; "-"; "17 (crit. path 15)"; fmt_mean s1 ];
-      [ "strong 2t+1"; "-"; "15"; "13"; "13"; fmt_mean s2 ];
-      [ "weak t+1, e=1/2"; "12/e+9 = 33"; "-"; "6/e+6 = 18"; "6/e+6 = 18"; fmt_mean w2 ];
-      [ "weak t+1, e=1/4"; "12/e+9 = 57"; "-"; "6/e+6 = 30"; "6/e+6 = 30"; fmt_mean w4 ];
-      [ "strong 2t+1 + tsig"; "-"; "-"; "-"; "9"; fmt_mean ts ] ];
-  print_newline ();
-  print_endline "n-independence of the strong t+1 cell (t Byzantine parties):";
-  Tablefmt.print
-    ~header:[ "n"; "t"; "measured broadcasts" ]
-    (List.map
-       (fun n ->
-         [ string_of_int n; string_of_int ((n - 1) / 3);
-           fmt_mean
-             (Table2.strong_t1_n ~n ~runs:800
-                ~seed:(Int64.add seed (Int64.of_int (40 + n)))) ])
-       [ 4; 7; 10 ]);
-  print_endline
-    "(The paper charges 4 broadcasts to every plain BCA-Byz round; rounds\n\
-     with unanimous inputs carry no amplification traffic, so the measured\n\
-     critical path of the 17-cell is 15.  [28]/[9]/[11] columns are the\n\
-     published figures the paper compares against.)"
-
-(* ------------------------------------------------------------------ *)
-(* Appendix A attacks.                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let attack () =
-  let seed = root_seed () in
-  section "Appendix A - adaptive liveness attacks (n=4, t=1, 25 rounds per run)";
-  let show name (r : Cz_attack.result) =
-    [ name;
-      (match r.Cz_attack.first_commit_round with
-      | None -> "NO COMMIT (liveness violated)"
-      | Some k -> Printf.sprintf "commit in round %d" k);
-      string_of_bool r.Cz_attack.agreement_ok;
-      string_of_int r.Cz_attack.peeks_denied ]
-  in
-  let show_m name (r : Mmr_attack.result) =
-    [ name;
-      (match r.Mmr_attack.first_commit_round with
-      | None -> "NO COMMIT (liveness violated)"
-      | Some k -> Printf.sprintf "commit in round %d" k);
-      string_of_bool r.Mmr_attack.agreement_ok;
-      string_of_int r.Mmr_attack.peeks_denied ]
-  in
-  Tablefmt.print
-    ~header:[ "protocol / coin"; "outcome"; "safety kept"; "coin peeks denied" ]
-    [ show "Cachin-Zanolini, t-unpredictable" (Cz_attack.run ~degree:`T ~rounds:25 ~seed);
-      show "Cachin-Zanolini, 2t-unpredictable" (Cz_attack.run ~degree:`TwoT ~rounds:25 ~seed);
-      show_m "MMR PODC'14, t-unpredictable" (Mmr_attack.run ~degree:`T ~rounds:25 ~seed);
-      show_m "MMR PODC'14, 2t-unpredictable" (Mmr_attack.run ~degree:`TwoT ~rounds:25 ~seed) ];
-  let ours = Table2.strong_t1 ~runs:500 ~seed:(Int64.add seed 8L) in
-  Printf.printf
-    "\n\
-     Contrast - AA-1/2 over BCA-Byz under its worst-case adaptive adversary\n\
-     with a t-unpredictable coin: terminates in %s broadcasts (binding fixes\n\
-     the surviving value before any coin access).\n"
-    (fmt_mean ours)
-
-(* ------------------------------------------------------------------ *)
-(* Scaling: message complexity.                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* One throughput measurement: [runs] seeded end-to-end executions of one
-   stack, wall-clocked together.  Deliveries/sec is the simulator's hot-path
-   figure of merit; BENCH_netsim.json records the trajectory across PRs. *)
-type throughput = {
-  tp_stack : string;
-  tp_n : int;
-  tp_t : int;
-  tp_runs : int;
-  tp_deliveries : int;
-  tp_wall_s : float;
-}
-
-let measure_throughput ~seed ~runs spec ~name ~cfg =
-  let inputs =
-    Array.init cfg.Types.n (fun i -> if i mod 2 = 0 then Value.V0 else Value.V1)
-  in
-  let deliveries = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for k = 0 to runs - 1 do
-    match Aba.run ~seed:(Int64.add seed (Int64.of_int (100 + k))) spec ~cfg ~inputs with
-    | Ok r -> deliveries := !deliveries + r.Aba.deliveries
-    | Error _ -> ()
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  { tp_stack = name;
-    tp_n = cfg.Types.n;
-    tp_t = cfg.Types.t;
-    tp_runs = runs;
-    tp_deliveries = !deliveries;
-    tp_wall_s = wall }
-
-let dps tp = float_of_int tp.tp_deliveries /. (if tp.tp_wall_s > 0.0 then tp.tp_wall_s else epsilon_float)
-
-(* One chaos-campaign measurement: the stack's throughput under randomized
-   fault plans plus the campaign's outcome split. *)
-type chaos_row = {
-  cz_tp : throughput;
-  cz_committed : int;
-  cz_stalled : int;
-  cz_failures : int;
-}
-
-(* One wire-cost measurement: cumulative on-wire traffic of [wr_runs]
-   loopback-cluster decisions of one stack, every hop through the real
-   codec.  bytes/words per decision is the paper's communication-complexity
-   unit, measured instead of counted. *)
-type wire_row = {
-  wr_stack : string;
-  wr_n : int;
-  wr_t : int;
-  wr_runs : int;
-  wr_frames : int;
-  wr_bytes : int;
-  wr_words : int;
-}
 
 (* One cluster-throughput measurement: [cl_instances] byz-strong decisions
    over real sockets in one process, one row per (transport, wire mode).
@@ -281,40 +64,7 @@ let cluster_dps row =
   float_of_int row.cl_instances
   /. (if row.cl_wall_s > 0.0 then row.cl_wall_s else epsilon_float)
 
-(* One crash-recovery measurement: [rc_decisions] supervised byz-strong
-   clusters of real node processes with durable WALs, every k-th run arming
-   one node to SIGKILL itself at its first round-1 coin reveal; the
-   supervisor restarts it with --recover and the run must still decide
-   unanimously.  Figures of merit: decisions/sec under the kill regime,
-   WAL bytes per decision (the durability tax), and per-recovery replay
-   cost (records and wall time from each recovered node's report line). *)
-type recovery_row = {
-  rc_transport : string;
-  rc_n : int;
-  rc_t : int;
-  rc_decisions : int;
-  rc_kills : int;
-  rc_restarts : int;
-  rc_recoveries : int;
-  rc_replayed_records : int;
-  rc_replayed_bytes : int;
-  rc_replay_s : float;
-  rc_wal_bytes : int;
-  rc_wall_s : float;
-}
-
-let recovery_dps row =
-  float_of_int row.rc_decisions
-  /. (if row.rc_wall_s > 0.0 then row.rc_wall_s else epsilon_float)
-
-(* The scaling, chaos and wire sections all contribute to the JSON report;
-   they accumulate here and the file is written once, after all sections
-   ran. *)
-let scaling_acc : throughput list ref = ref []
-
 let cluster_acc : cluster_row list ref = ref []
-
-let recovery_acc : recovery_row list ref = ref []
 
 (* RSM loadgen rows: committed-tx throughput of the windowed log at each
    (transport, window, batch) point, plus the pipelining-gate verdicts. *)
@@ -345,411 +95,7 @@ let rsm_gate_acc : rsm_gate list ref = ref []
    regression trips it. *)
 let rsm_floor_tx_s = 25.0
 
-let chaos_acc : chaos_row list ref = ref []
-
-let metrics_acc : (string * Metrics.t) list ref = ref []
-
-let wire_acc : wire_row list ref = ref []
-
-(* One guided smoke campaign per real stack: trials, outcome counts, corpus
-   growth and coverage footprint.  Safety violations on a real stack fail
-   the section. *)
-type fuzz_row = {
-  fz_target : string;
-  fz_n : int;
-  fz_t : int;
-  fz_trials : int;
-  fz_committed : int;
-  fz_stalled : int;
-  fz_violations : int;
-  fz_corpus : int;
-  fz_cov_keys : int;
-  fz_cov_points : int;
-  fz_wall_s : float;
-}
-
-let fuzz_acc : fuzz_row list ref = ref []
-
-let fuzz_rediscovery : Fuzz.rediscovery option ref = ref None
-
-(* The rediscovery gate: guided search must beat the undirected baseline by
-   at least this factor, and must actually find the reintroduced bug within
-   this many trials (median).  Calibrated at the pinned root below. *)
-let fuzz_min_speedup = 10.0
-
-let fuzz_median_floor = 500.0
-
-let chaos_failed = ref false
-
 let section_failed = ref false
-
-let write_throughput_json path ~seed ~runs ~chaos ~metrics ~wire ~cluster ~recovery ~lint
-    ~fuzz ~rediscovery ~rsm ~rsm_gate tps =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  (* schema 7: adds the "rsm" object (windowed replicated-log loadgen:
-     committed-tx/s and commit-latency percentiles per transport x window
-     x batch point, the TCP pipelining-gate verdicts and the throughput
-     floor); schema 6 added the "fuzz" object (coverage-guided adversary
-     search: per-stack guided smoke campaigns, and the CZ AUX-bug
-     rediscovery benchmark - trials-to-find guided vs blind with the gate
-     verdict); schema 5 added the "recovery" array (supervised
-     crash-recovery clusters: decisions/sec with a kill every k
-     decisions, WAL bytes per decision, replay cost); schema 4 added the
-     "cluster" array (decisions/sec of the batched socket hot path vs the
-     per-message baseline); schema 3 added the "lint" object
-     (static-analysis health of lib/ at report time); schema 2 added the
-     "wire" array (per-decision on-wire traffic per stack).  Consumers of
-     older schemas should treat all six as optional.
-
-     schema 8: the "lint" object now includes the interprocedural flow
-     pass - "flow_findings" (wire-taint + unbounded-alloc, split out
-     from the total) and "flow_seconds" (whole-lib analysis wall-clock,
-     gated under 10s in CI) *)
-  Buffer.add_string buf "  \"schema\": 8,\n";
-  (match lint with
-  | Some ((r : Bca_lint.Lint.report), flow_seconds) ->
-    let flow_findings =
-      List.length
-        (List.filter
-           (fun (f : Bca_lint.Lint.finding) ->
-             List.exists (String.equal f.rule) Bca_lint.Flow.rule_names)
-           r.findings)
-    in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"lint\": {\"rules\": %d, \"files_scanned\": %d, \"findings\": %d, \
-          \"flow_findings\": %d, \"flow_seconds\": %.3f, \
-          \"suppressed\": %d, \"suppression_comments\": %d},\n"
-         (List.length r.rules_run) r.files_scanned (List.length r.findings) flow_findings
-         flow_seconds r.suppressed r.suppression_comments)
-  | None -> ());
-  Buffer.add_string buf "  \"benchmark\": \"netsim-throughput\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"seed\": %Ld,\n  \"runs_per_point\": %d,\n" seed runs);
-  Buffer.add_string buf "  \"scheduler\": \"random (indexed, O(1) per delivery)\",\n";
-  Buffer.add_string buf "  \"stacks\": [\n";
-  List.iteri
-    (fun i tp ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"stack\": %S, \"n\": %d, \"t\": %d, \"runs\": %d, \"deliveries\": %d, \
-            \"wall_s\": %.6f, \"deliveries_per_sec\": %.1f}%s\n"
-           tp.tp_stack tp.tp_n tp.tp_t tp.tp_runs tp.tp_deliveries tp.tp_wall_s (dps tp)
-           (if i = List.length tps - 1 then "" else ",")))
-    tps;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"chaos\": [\n";
-  List.iteri
-    (fun i row ->
-      let tp = row.cz_tp in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"stack\": %S, \"n\": %d, \"t\": %d, \"runs\": %d, \"committed\": %d, \
-            \"stalled\": %d, \"safety_failures\": %d, \"deliveries\": %d, \
-            \"wall_s\": %.6f, \"deliveries_per_sec\": %.1f}%s\n"
-           tp.tp_stack tp.tp_n tp.tp_t tp.tp_runs row.cz_committed row.cz_stalled
-           row.cz_failures tp.tp_deliveries tp.tp_wall_s (dps tp)
-           (if i = List.length chaos - 1 then "" else ",")))
-    chaos;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"wire\": [\n";
-  List.iteri
-    (fun i w ->
-      let per d = float_of_int d /. float_of_int (max 1 w.wr_runs) in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"stack\": %S, \"n\": %d, \"t\": %d, \"decisions\": %d, \"frames\": %d, \
-            \"bytes\": %d, \"words\": %d, \"frames_per_decision\": %.1f, \
-            \"bytes_sent_per_decision\": %.1f, \"words_sent_per_decision\": %.1f}%s\n"
-           w.wr_stack w.wr_n w.wr_t w.wr_runs w.wr_frames w.wr_bytes w.wr_words
-           (per w.wr_frames) (per w.wr_bytes) (per w.wr_words)
-           (if i = List.length wire - 1 then "" else ",")))
-    wire;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"cluster\": [\n";
-  List.iteri
-    (fun i c ->
-      let per d = float_of_int d /. float_of_int (max 1 c.cl_instances) in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"stack\": \"byz-strong\", \"transport\": %S, \"mode\": %S, \"n\": %d, \
-            \"t\": %d, \"decisions\": %d, \"wall_s\": %.6f, \"decisions_per_sec\": %.1f, \
-            \"frames\": %d, \"bytes\": %d, \"writes\": %d, \"batches\": %d, \
-            \"records\": %d, \"max_occupancy\": %d, \"alloc_words\": %.0f, \
-            \"frames_per_decision\": %.1f, \"bytes_per_decision\": %.1f}%s\n"
-           c.cl_transport c.cl_mode c.cl_n c.cl_t c.cl_instances c.cl_wall_s (cluster_dps c)
-           c.cl_frames c.cl_bytes c.cl_writes c.cl_batches c.cl_records c.cl_max_occupancy
-           c.cl_alloc_words (per c.cl_frames) (per c.cl_bytes)
-           (if i = List.length cluster - 1 then "" else ",")))
-    cluster;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"recovery\": [\n";
-  List.iteri
-    (fun i r ->
-      let per d = float_of_int d /. float_of_int (max 1 r.rc_decisions) in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"stack\": \"byz-strong\", \"transport\": %S, \"n\": %d, \"t\": %d, \
-            \"decisions\": %d, \"kills\": %d, \"restarts\": %d, \"recoveries\": %d, \
-            \"replayed_records\": %d, \"replayed_bytes\": %d, \"replay_s\": %.6f, \
-            \"wal_bytes\": %d, \"wall_s\": %.6f, \"decisions_per_sec\": %.2f, \
-            \"wal_bytes_per_decision\": %.1f}%s\n"
-           r.rc_transport r.rc_n r.rc_t r.rc_decisions r.rc_kills r.rc_restarts
-           r.rc_recoveries r.rc_replayed_records r.rc_replayed_bytes r.rc_replay_s
-           r.rc_wal_bytes r.rc_wall_s (recovery_dps r) (per r.rc_wal_bytes)
-           (if i = List.length recovery - 1 then "" else ",")))
-    recovery;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"rsm\": {\n    \"rows\": [\n";
-  List.iteri
-    (fun i row ->
-      let r = row.rs_r in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"transport\": %S, \"n\": 4, \"t\": 1, \"window\": %d, \
-            \"batch_txs\": %d, \"txs\": %d, \"tx_bytes\": %d, \"hop_ms\": %.1f, \
-            \"committed\": %d, \"epochs\": %d, \"wall_s\": %.6f, \"tx_per_s\": %.1f, \
-            \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"frames\": %d, \"bytes\": %d, \
-            \"writes\": %d}%s\n"
-           row.rs_transport row.rs_window row.rs_batch_txs row.rs_total row.rs_tx_bytes
-           row.rs_hop_ms
-           r.Cluster.lr_committed r.Cluster.lr_epochs r.Cluster.lr_duration_s
-           r.Cluster.lr_tx_per_s r.Cluster.lr_p50_ms r.Cluster.lr_p99_ms
-           r.Cluster.lr_frames r.Cluster.lr_bytes r.Cluster.lr_writes
-           (if i = List.length rsm - 1 then "" else ",")))
-    rsm;
-  Buffer.add_string buf "    ],\n    \"gate\": [\n";
-  List.iteri
-    (fun i g ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"transport\": %S, \"batch_txs\": %d, \"w1_tx_s\": %.1f, \
-            \"wn_tx_s\": %.1f, \"pass\": %b}%s\n"
-           g.rg_transport g.rg_batch_txs g.rg_w1_tx_s g.rg_wn_tx_s g.rg_pass
-           (if i = List.length rsm_gate - 1 then "" else ",")))
-    rsm_gate;
-  Buffer.add_string buf
-    (Printf.sprintf "    ],\n    \"floor_tx_s\": %.1f\n  },\n" rsm_floor_tx_s);
-  Buffer.add_string buf "  \"fuzz\": {\n    \"smoke\": [\n";
-  List.iteri
-    (fun i fz ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"target\": %S, \"n\": %d, \"t\": %d, \"trials\": %d, \
-            \"committed\": %d, \"stalled\": %d, \"safety_violations\": %d, \
-            \"corpus\": %d, \"coverage_keys\": %d, \"coverage_points\": %d, \
-            \"wall_s\": %.6f}%s\n"
-           fz.fz_target fz.fz_n fz.fz_t fz.fz_trials fz.fz_committed fz.fz_stalled
-           fz.fz_violations fz.fz_corpus fz.fz_cov_keys fz.fz_cov_points fz.fz_wall_s
-           (if i = List.length fuzz - 1 then "" else ",")))
-    fuzz;
-  Buffer.add_string buf "    ],\n    \"rediscovery\": ";
-  (match rediscovery with
-  | None -> Buffer.add_string buf "null\n"
-  | Some (r : Fuzz.rediscovery) ->
-    let arr a =
-      String.concat ", " (Array.to_list (Array.map string_of_int a))
-    in
-    let pass =
-      r.Fuzz.r_speedup >= fuzz_min_speedup && r.Fuzz.r_guided_median <= fuzz_median_floor
-    in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"target\": \"cz-buggy\", \"root_seed\": 66, \"seeds\": %d, \"cap\": %d,\n\
-         \      \"guided_trials\": [%s], \"blind_trials\": [%s],\n\
-         \      \"guided_median\": %.1f, \"blind_median\": %.1f, \"speedup\": %.2f,\n\
-         \      \"gate\": {\"min_speedup\": %.1f, \"guided_median_floor\": %.1f, \
-          \"pass\": %b}}\n"
-         r.Fuzz.r_seeds r.Fuzz.r_cap (arr r.Fuzz.r_guided) (arr r.Fuzz.r_blind)
-         r.Fuzz.r_guided_median r.Fuzz.r_blind_median r.Fuzz.r_speedup fuzz_min_speedup
-         fuzz_median_floor pass));
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"metrics\": [\n";
-  List.iteri
-    (fun i (name, m) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"stack\": %S, \"aggregate\": %s}%s\n" name
-           (Metrics.to_json m)
-           (if i = List.length metrics - 1 then "" else ",")))
-    metrics;
-  Buffer.add_string buf "  ]\n}\n";
-  (* any I/O failure here must fail the process: a benchmark run whose
-     report silently went missing reads as a healthy run *)
-  match
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf))
-  with
-  | () -> ()
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write throughput JSON to %S: %s\n" path msg;
-    exit 1
-
-let scaling () =
-  let seed = root_seed () in
-  let runs = match !opt_runs with Some r -> r | None -> 30 in
-  section "Message-complexity scaling (random schedule, messages to global termination)";
-  let points =
-    List.concat
-      [ List.map (fun (n, t) -> ("ABA (byz/strong)", Aba.Byz_strong, n, t))
-          [ (4, 1); (7, 2); (10, 3); (13, 4) ];
-        List.map (fun (n, t) -> ("ACA (crash/strong)", Aba.Crash_strong, n, t))
-          [ (5, 2); (9, 4); (13, 6) ] ]
-  in
-  let tps =
-    List.map
-      (fun (name, spec, n, t) ->
-        measure_throughput ~seed ~runs spec ~name ~cfg:(Types.cfg ~n ~t))
-      points
-  in
-  let rows =
-    List.map
-      (fun tp ->
-        let mean = float_of_int tp.tp_deliveries /. float_of_int tp.tp_runs in
-        [ tp.tp_stack; string_of_int tp.tp_n;
-          Printf.sprintf "%.0f" mean;
-          Printf.sprintf "%.1f" (mean /. float_of_int (tp.tp_n * tp.tp_n)) ])
-      tps
-  in
-  Tablefmt.print ~header:[ "protocol"; "n"; "messages (mean)"; "messages / n^2" ] rows;
-  print_endline
-    "(messages / n^2 stays flat: the O(n^2) message complexity the paper\n\
-     claims as asymptotically optimal [16])";
-  print_newline ();
-  section "Simulator throughput (end-to-end runs, random indexed scheduler)";
-  Tablefmt.print
-    ~header:[ "stack"; "n"; "runs"; "deliveries"; "wall (s)"; "deliveries/sec" ]
-    (List.map
-       (fun tp ->
-         [ tp.tp_stack; string_of_int tp.tp_n; string_of_int tp.tp_runs;
-           string_of_int tp.tp_deliveries;
-           Printf.sprintf "%.4f" tp.tp_wall_s;
-           Printf.sprintf "%.0f" (dps tp) ])
-       tps);
-  scaling_acc := tps
-
-(* ------------------------------------------------------------------ *)
-(* Chaos campaign: randomized fault plans against the six stacks.       *)
-(* ------------------------------------------------------------------ *)
-
-let chaos () =
-  let seed = root_seed () in
-  let runs = match !opt_runs with Some r -> r | None -> 40 in
-  section
-    (Printf.sprintf
-       "Chaos campaign - randomized drop/dup/partition/crash plans (%d plans per stack)"
-       runs);
-  let rows =
-    List.mapi
-      (fun i (name, spec, cfg) ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Campaign.run_stack ~name ~spec ~cfg ~runs
-            ~seed:(Int64.add seed (Int64.of_int i))
-            ()
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        ( r,
-          { cz_tp =
-              { tp_stack = name;
-                tp_n = cfg.Types.n;
-                tp_t = cfg.Types.t;
-                tp_runs = runs;
-                tp_deliveries = r.Campaign.total_deliveries;
-                tp_wall_s = wall };
-            cz_committed = r.Campaign.committed;
-            cz_stalled = r.Campaign.stalled;
-            cz_failures = List.length r.Campaign.failures } ))
-      Campaign.six_stacks
-  in
-  Tablefmt.print
-    ~header:
-      [ "stack"; "plans"; "committed"; "stalled"; "safety fails"; "deliveries";
-        "wall (s)"; "deliveries/sec" ]
-    (List.map
-       (fun ((r : Campaign.stack_report), row) ->
-         let tp = row.cz_tp in
-         [ r.Campaign.stack; string_of_int r.Campaign.runs;
-           string_of_int r.Campaign.committed; string_of_int r.Campaign.stalled;
-           string_of_int row.cz_failures; string_of_int tp.tp_deliveries;
-           Printf.sprintf "%.4f" tp.tp_wall_s; Printf.sprintf "%.0f" (dps tp) ])
-       rows);
-  print_endline
-    "(stalled runs dropped an honest message within the fairness budget -\n\
-     a legal liveness loss for protocols without retransmission; any\n\
-     safety failure below is a bug and fails this process)";
-  List.iter
-    (fun ((r : Campaign.stack_report), _) ->
-      if r.Campaign.failures <> [] then begin
-        chaos_failed := true;
-        Format.printf "@.%a@." Campaign.pp_stack_report r
-      end)
-    rows;
-  chaos_acc := List.map snd rows
-
-(* ------------------------------------------------------------------ *)
-(* Wire cost: measured on-wire traffic per decision, per stack.         *)
-(* ------------------------------------------------------------------ *)
-
-let wire () =
-  let seed = root_seed () in
-  let runs = match !opt_runs with Some r -> min r 200 | None -> 25 in
-  section
-    (Printf.sprintf
-       "Wire cost - loopback cluster, every hop through the codec (%d decisions per stack)"
-       runs);
-  let rows =
-    List.mapi
-      (fun i (name, spec) ->
-        let byz =
-          match spec with
-          | Aba.Crash_strong | Aba.Crash_weak _ | Aba.Crash_local -> false
-          | _ -> true
-        in
-        let n = if byz then 4 else 5 in
-        let cfg = Types.cfg ~n ~t:(if byz then (n - 1) / 3 else (n - 1) / 2) in
-        let inputs =
-          Array.init n (fun p -> if p mod 2 = 0 then Value.V0 else Value.V1)
-        in
-        let frames = ref 0 and bytes = ref 0 and words = ref 0 in
-        for k = 0 to runs - 1 do
-          match
-            Cluster.run_loopback
-              ~seed:(Int64.add seed (Int64.of_int ((1000 * i) + k)))
-              spec ~cfg ~inputs
-          with
-          | Ok (_, st) ->
-            frames := !frames + st.Cluster.frames;
-            bytes := !bytes + st.Cluster.bytes;
-            words := !words + st.Cluster.words
-          | Error e -> failwith (Printf.sprintf "%s: loopback run %d failed: %s" name k e)
-        done;
-        { wr_stack = name;
-          wr_n = n;
-          wr_t = cfg.Types.t;
-          wr_runs = runs;
-          wr_frames = !frames;
-          wr_bytes = !bytes;
-          wr_words = !words })
-      (Cluster.all_stacks ())
-  in
-  Tablefmt.print
-    ~header:
-      [ "stack"; "n"; "decisions"; "frames/decision"; "bytes/decision"; "words/decision" ]
-    (List.map
-       (fun w ->
-         let per d = float_of_int d /. float_of_int w.wr_runs in
-         [ w.wr_stack; string_of_int w.wr_n; string_of_int w.wr_runs;
-           Printf.sprintf "%.1f" (per w.wr_frames);
-           Printf.sprintf "%.1f" (per w.wr_bytes);
-           Printf.sprintf "%.1f" (per w.wr_words) ])
-       rows);
-  print_endline
-    "(on-wire bytes include the 14-byte frame header; words = ceil(bytes/8),\n\
-     the unit the paper's communication-complexity claims use)";
-  wire_acc := rows
 
 (* ------------------------------------------------------------------ *)
 (* Cluster throughput: the batched socket hot path vs its baselines.    *)
@@ -877,131 +223,6 @@ let cluster_bench () =
         floor
     | None -> ()));
   cluster_acc := rows
-
-(* ------------------------------------------------------------------ *)
-(* Crash recovery: supervised clusters under periodic SIGKILLs.         *)
-(* ------------------------------------------------------------------ *)
-
-(* The recovery section forks real node processes, so it needs the
-   bca_node binary: $BCA_NODE, or the sibling bin/ directory of this
-   executable inside _build.  When neither exists (installed binary, odd
-   layout) the section is skipped rather than failed - it measures the
-   launcher, not the protocol. *)
-let bench_node_exe () =
-  match Sys.getenv_opt "BCA_NODE" with
-  | Some p -> if Sys.file_exists p then Some p else None
-  | None ->
-    let p =
-      Filename.concat
-        (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
-        "bca_node.exe"
-    in
-    if Sys.file_exists p then Some p else None
-
-let recovery_bench () =
-  let seed = root_seed () in
-  let runs = match !opt_runs with Some r -> min r 20 | None -> 4 in
-  let kill_every = 2 in
-  let cfg = Types.cfg ~n:4 ~t:1 in
-  let inputs = Array.init 4 (fun p -> if p mod 2 = 0 then Value.V0 else Value.V1) in
-  section
-    (Printf.sprintf
-       "Crash recovery - supervised byz-strong clusters, SIGKILL at the round-1 coin \
-        reveal on every %dth decision (%d decisions per transport)"
-       kill_every runs);
-  match bench_node_exe () with
-  | None ->
-    print_endline "(skipped: bca_node.exe not found; set BCA_NODE or run `dune build bin`)"
-  | Some node_exe ->
-    let measure transport =
-      let tname = match transport with `Unix -> "unix" | `Tcp -> "tcp" in
-      let kills = ref 0 and restarts = ref 0 and wal_bytes = ref 0 in
-      let recoveries = ref 0 and rec_records = ref 0 and rec_bytes = ref 0 in
-      let replay_s = ref 0.0 in
-      let t0 = Unix.gettimeofday () in
-      for k = 0 to runs - 1 do
-        let wal_dir =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "bca-bench-wal-%d-%s-%d" (Unix.getpid ()) tname k)
-        in
-        Unix.mkdir wal_dir 0o700;
-        let cleanup () =
-          (match Sys.readdir wal_dir with
-          | entries ->
-            Array.iter
-              (fun f -> try Sys.remove (Filename.concat wal_dir f) with Sys_error _ -> ())
-              entries
-          | exception Sys_error _ -> ());
-          try Unix.rmdir wal_dir with Unix.Unix_error _ -> ()
-        in
-        let kill_at = if k mod kill_every = 0 then Some (2, "coin:1") else None in
-        if kill_at <> None then incr kills;
-        let outcome =
-          Fun.protect ~finally:cleanup (fun () ->
-              Cluster.spawn ~timeout_s:30. ~wal_dir ?kill_at ~node_exe ~cfg
-                ~seed:(Int64.add seed (Int64.of_int (3000 + k)))
-                ~transport
-                (Cluster.Aba_one { spec = Bca_core.Aba.Byz_strong; inputs }))
-        in
-        match outcome with
-        | Ok r ->
-          restarts := !restarts + r.Cluster.c_restarts;
-          wal_bytes := !wal_bytes + r.Cluster.c_wal_bytes;
-          List.iter
-            (fun ri ->
-              incr recoveries;
-              rec_records := !rec_records + ri.Cluster.ri_records;
-              rec_bytes := !rec_bytes + ri.Cluster.ri_wal_bytes;
-              replay_s := !replay_s +. ri.Cluster.ri_replay_s)
-            r.Cluster.c_recoveries
-        | Error e -> failwith (Printf.sprintf "recovery (%s, decision %d): %s" tname k e)
-      done;
-      let wall = Unix.gettimeofday () -. t0 in
-      { rc_transport = tname;
-        rc_n = cfg.Types.n;
-        rc_t = cfg.Types.t;
-        rc_decisions = runs;
-        rc_kills = !kills;
-        rc_restarts = !restarts;
-        rc_recoveries = !recoveries;
-        rc_replayed_records = !rec_records;
-        rc_replayed_bytes = !rec_bytes;
-        rc_replay_s = !replay_s;
-        rc_wal_bytes = !wal_bytes;
-        rc_wall_s = wall }
-    in
-    let rows = List.map measure [ `Unix; `Tcp ] in
-    Tablefmt.print
-      ~header:
-        [ "transport"; "decisions"; "kills"; "restarts"; "recoveries"; "wall (s)";
-          "decisions/sec"; "WAL B/decision"; "replay ms (mean)"; "records replayed" ]
-      (List.map
-         (fun r ->
-           [ r.rc_transport; string_of_int r.rc_decisions; string_of_int r.rc_kills;
-             string_of_int r.rc_restarts; string_of_int r.rc_recoveries;
-             Printf.sprintf "%.3f" r.rc_wall_s;
-             Printf.sprintf "%.2f" (recovery_dps r);
-             Printf.sprintf "%.1f"
-               (float_of_int r.rc_wal_bytes /. float_of_int (max 1 r.rc_decisions));
-             (if r.rc_recoveries = 0 then "-"
-              else
-                Printf.sprintf "%.2f"
-                  (1000. *. r.rc_replay_s /. float_of_int r.rc_recoveries));
-             string_of_int r.rc_replayed_records ])
-         rows);
-    print_endline
-      "(every killed node must come back through its WAL: a kill without a\n\
-       matching recovery below fails this process)";
-    List.iter
-      (fun r ->
-        if r.rc_recoveries < r.rc_kills then begin
-          section_failed := true;
-          Printf.eprintf "recovery (%s): %d kills but only %d WAL recoveries\n"
-            r.rc_transport r.rc_kills r.rc_recoveries
-        end)
-      rows;
-    recovery_acc := rows
 
 (* ------------------------------------------------------------------ *)
 (* RSM loadgen: committed-tx throughput of the windowed log.            *)
@@ -1155,306 +376,67 @@ let rsm_bench () =
   rsm_acc := rows;
   rsm_gate_acc := gates
 
-(* ------------------------------------------------------------------ *)
-(* Observability: per-round / per-phase metrics and trace capture.      *)
-(* ------------------------------------------------------------------ *)
-
-let metrics () =
-  let seed = root_seed () in
-  let runs = match !opt_runs with Some r -> min r 200 | None -> 25 in
-  section
-    (Printf.sprintf
-       "Observability metrics - instrumented chaos runs (%d per stack)" runs);
-  let rows =
-    List.mapi
-      (fun i (name, spec, cfg) ->
-        (* one buffering trace per run, folded into the pure aggregate;
-           merge is associative, so the fold is domain-count independent *)
-        let m =
-          Mc.map_fold ~runs
-            ~seed:(Int64.add seed (Int64.of_int (60 + i)))
-            ~init:Metrics.empty ~merge:Metrics.merge
-            (fun ~seed ->
-              let tracer = Trace.create () in
-              let (_ : Campaign.run_report) =
-                Campaign.run_once ~tracer ~spec ~cfg ~seed ()
-              in
-              Metrics.add_run Metrics.empty (Trace.events tracer))
-        in
-        (name, m))
-      Campaign.six_stacks
+let write_json path ~cluster ~rsm ~rsm_gate =
+  let buf = Buffer.create 1024 in
+  (* one JSON object per line, comma-separated *)
+  let items rows f =
+    let last = List.length rows - 1 in
+    List.iteri (fun i r -> Buffer.add_string buf (f r (if i = last then "" else ","))) rows
   in
-  Tablefmt.print
-    ~header:
-      [ "stack"; "runs"; "decided"; "sends"; "deliveries"; "drops";
-        "decision round p50/p99"; "violations" ]
-    (List.map
-       (fun (name, m) ->
-         let h = Metrics.rounds_histogram m in
-         [ name;
-           string_of_int (Metrics.runs m);
-           string_of_int (Metrics.decided_runs m);
-           string_of_int (Metrics.sends m);
-           string_of_int (Metrics.deliveries m);
-           string_of_int (Metrics.drops m);
-           (if Metrics.decided_runs m = 0 then "-"
-            else
-              Printf.sprintf "%d / %d"
-                (Bca_util.Histogram.percentile h 0.50)
-                (Bca_util.Histogram.percentile h 0.99));
-           string_of_int (Metrics.violations m) ])
-       rows);
-  List.iter
-    (fun (name, m) ->
-      Format.printf "@.%s:@.%a@." name Metrics.pp m)
-    rows;
-  metrics_acc := rows
-
-let trace_capture path =
-  let seed = root_seed () in
-  section "Trace capture - broken_run violation, JSONL export, replay";
-  let tracer = Trace.create () in
-  let report = Campaign.broken_run ~tracer ~seed () in
-  let events = Trace.events tracer in
-  Printf.printf "captured %d events (%d safety violations) from seed %Ld\n"
-    (Array.length events)
-    (List.length (Campaign.safety_violations report))
-    seed;
-  (match
-     let oc = open_out path in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () -> Trace.output oc tracer)
-   with
-  | () -> Printf.printf "exported to %s\n" path
+  Buffer.add_string buf "{\n  \"cluster\": [\n";
+  items cluster (fun c sep ->
+      let per d = float_of_int d /. float_of_int (max 1 c.cl_instances) in
+      Printf.sprintf
+        "    {\"stack\": \"byz-strong\", \"transport\": %S, \"mode\": %S, \"n\": %d, \
+         \"t\": %d, \"decisions\": %d, \"wall_s\": %.6f, \"decisions_per_sec\": %.1f, \
+         \"frames\": %d, \"bytes\": %d, \"writes\": %d, \"batches\": %d, \
+         \"records\": %d, \"max_occupancy\": %d, \"alloc_words\": %.0f, \
+         \"frames_per_decision\": %.1f, \"bytes_per_decision\": %.1f}%s\n"
+        c.cl_transport c.cl_mode c.cl_n c.cl_t c.cl_instances c.cl_wall_s (cluster_dps c)
+        c.cl_frames c.cl_bytes c.cl_writes c.cl_batches c.cl_records c.cl_max_occupancy
+        c.cl_alloc_words (per c.cl_frames) (per c.cl_bytes) sep);
+  Buffer.add_string buf "  ],\n  \"rsm\": {\n    \"rows\": [\n";
+  items rsm (fun row sep ->
+      let r = row.rs_r in
+      Printf.sprintf
+        "      {\"transport\": %S, \"n\": 4, \"t\": 1, \"window\": %d, \
+         \"batch_txs\": %d, \"txs\": %d, \"tx_bytes\": %d, \"hop_ms\": %.1f, \
+         \"committed\": %d, \"epochs\": %d, \"wall_s\": %.6f, \"tx_per_s\": %.1f, \
+         \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"frames\": %d, \"bytes\": %d, \
+         \"writes\": %d}%s\n"
+        row.rs_transport row.rs_window row.rs_batch_txs row.rs_total row.rs_tx_bytes
+        row.rs_hop_ms r.Cluster.lr_committed r.Cluster.lr_epochs r.Cluster.lr_duration_s
+        r.Cluster.lr_tx_per_s r.Cluster.lr_p50_ms r.Cluster.lr_p99_ms r.Cluster.lr_frames
+        r.Cluster.lr_bytes r.Cluster.lr_writes sep);
+  Buffer.add_string buf "    ],\n    \"gate\": [\n";
+  items rsm_gate (fun g sep ->
+      Printf.sprintf
+        "      {\"transport\": %S, \"batch_txs\": %d, \"w1_tx_s\": %.1f, \
+         \"wn_tx_s\": %.1f, \"pass\": %b}%s\n"
+        g.rg_transport g.rg_batch_txs g.rg_w1_tx_s g.rg_wn_tx_s g.rg_pass sep);
+  Buffer.add_string buf
+    (Printf.sprintf "    ],\n    \"floor_tx_s\": %.1f\n  }\n}\n" rsm_floor_tx_s);
+  (* any I/O failure here must fail the process: a benchmark run whose
+     report silently went missing reads as a healthy run *)
+  match
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf))
+  with
+  | () -> ()
   | exception Sys_error msg ->
-    Printf.eprintf "cannot write trace to %S: %s\n" path msg;
-    exit 1);
-  match Trace.load path with
-  | Error msg ->
-    Printf.eprintf "trace re-import failed: %s\n" msg;
+    Printf.eprintf "cannot write throughput JSON to %S: %s\n" path msg;
     exit 1
-  | Ok reloaded ->
-    if reloaded <> events then begin
-      Printf.eprintf "trace JSONL round-trip is not identity\n";
-      exit 1
-    end;
-    (match Campaign.replay_broken ~seed reloaded with
-    | Error msg ->
-      Printf.eprintf "replay diverged: %s\n" msg;
-      exit 1
-    | Ok (report', replayed) ->
-      if replayed <> events then begin
-        Printf.eprintf "replayed trace differs from the captured one\n";
-        exit 1
-      end;
-      if
-        List.length (Campaign.safety_violations report')
-        <> List.length (Campaign.safety_violations report)
-      then begin
-        Printf.eprintf "replay did not reproduce the violations\n";
-        exit 1
-      end;
-      Printf.printf "replayed %d events bit-identically; violation reproduced\n"
-        (Array.length replayed))
-
-(* ------------------------------------------------------------------ *)
-(* Fuzz: coverage-guided adversary search, smoke + rediscovery gate.    *)
-(* ------------------------------------------------------------------ *)
-
-(* Two halves.  Smoke: a guided campaign on each real stack must find
-   nothing (these stacks are believed correct; a find is a regression and
-   fails the process, same discipline as the chaos section).  Rediscovery:
-   reintroduce the historical Cachin-Zanolini per-value-AUX bug behind its
-   flag and measure trials-to-find, guided vs blind, median over 5 root
-   seeds.  The gate - guided at least [fuzz_min_speedup] times faster and
-   finding within [fuzz_median_floor] trials - runs at a pinned root
-   (0x42), like the Bechamel seeds: the ratio is a property of the
-   calibrated configuration, not of --seed, and the per-seed arrays are
-   recorded in the JSON for inspection. *)
-let fuzz_bench () =
-  let seed = root_seed () in
-  let trials = match !opt_runs with Some r -> min r 200 | None -> 64 in
-  section
-    (Printf.sprintf "Fuzz - guided smoke on the six stacks (%d trials each)" trials);
-  let rows =
-    List.mapi
-      (fun i tg ->
-        let t0 = Unix.gettimeofday () in
-        let c =
-          Fuzz.run ~mode:Fuzz.Guided ~target:tg ~trials
-            ~seed:(Int64.add seed (Int64.of_int (31 + i)))
-            ()
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        (match c.Fuzz.c_found with
-        | None -> ()
-        | Some f ->
-          chaos_failed := true;
-          Printf.printf "!! %s: safety violation at trial %d (plan %s)\n" tg.Fuzz.tg_name
-            f.Fuzz.f_trial f.Fuzz.f_name);
-        { fz_target = tg.Fuzz.tg_name;
-          fz_n = tg.Fuzz.tg_n;
-          fz_t = tg.Fuzz.tg_t;
-          fz_trials = c.Fuzz.c_trials;
-          fz_committed = c.Fuzz.c_committed;
-          fz_stalled = c.Fuzz.c_stalled;
-          fz_violations =
-            (match c.Fuzz.c_found with
-            | Some f -> List.length f.Fuzz.f_violations
-            | None -> 0);
-          fz_corpus = List.length c.Fuzz.c_corpus;
-          fz_cov_keys = Bca_obs.Coverage.cardinality c.Fuzz.c_coverage;
-          fz_cov_points = Bca_obs.Coverage.points c.Fuzz.c_coverage;
-          fz_wall_s = wall })
-      Fuzz.six
-  in
-  Tablefmt.print
-    ~header:[ "target"; "trials"; "committed"; "stalled"; "corpus"; "coverage"; "wall" ]
-    (List.map
-       (fun fz ->
-         [ fz.fz_target;
-           string_of_int fz.fz_trials;
-           string_of_int fz.fz_committed;
-           string_of_int fz.fz_stalled;
-           string_of_int fz.fz_corpus;
-           Printf.sprintf "%d keys / %d pts" fz.fz_cov_keys fz.fz_cov_points;
-           Printf.sprintf "%.2fs" fz.fz_wall_s ])
-       rows);
-  fuzz_acc := rows;
-  section "Fuzz - CZ AUX-bug rediscovery, guided vs blind (pinned root 0x42)";
-  let r = Fuzz.rediscover ~seeds:5 ~cap:3_000 ~seed:0x42L () in
-  Format.printf "%a@." Fuzz.pp_rediscovery r;
-  fuzz_rediscovery := Some r;
-  if r.Fuzz.r_speedup < fuzz_min_speedup then begin
-    section_failed := true;
-    Printf.printf "!! rediscovery speedup %.2fx below the %.1fx gate\n" r.Fuzz.r_speedup
-      fuzz_min_speedup
-  end;
-  if r.Fuzz.r_guided_median > fuzz_median_floor then begin
-    section_failed := true;
-    Printf.printf "!! guided median %.1f trials above the %.1f-trial floor\n"
-      r.Fuzz.r_guided_median fuzz_median_floor
-  end
-
-(* Static-analysis health of the lib/ tree, folded into the report so a
-   benchmark JSON also records whether the sources it measured were lint
-   clean.  Runs the full interprocedural flow pass and times it, so the
-   report doubles as a performance record of the analysis itself.
-   Benchmarks normally run from the repo root; when lib/ is not there
-   (installed binary, odd cwd) the section is simply omitted. *)
-let lint_summary () =
-  if Sys.file_exists "lib" && Sys.is_directory "lib" then
-    match
-      let t0 = Unix.gettimeofday () in
-      let report =
-        Bca_lint.Lint.run ~rules:Bca_lint.Rules.all ~flow:Bca_lint.Flow.pass
-          ~paths:[ "lib" ] ()
-      in
-      (report, Unix.gettimeofday () -. t0)
-    with
-    | timed -> Some timed
-    | exception _ -> None
-  else None
 
 let flush_json () =
-  if
-    !scaling_acc <> [] || !chaos_acc <> [] || !metrics_acc <> [] || !wire_acc <> []
-    || !cluster_acc <> [] || !recovery_acc <> [] || !fuzz_acc <> []
-    || !fuzz_rediscovery <> None || !rsm_acc <> []
-  then begin
+  if !cluster_acc <> [] || !rsm_acc <> [] then begin
     let path = json_path () in
-    let runs = match !opt_runs with Some r -> r | None -> 30 in
-    write_throughput_json path ~seed:(root_seed ()) ~runs ~chaos:!chaos_acc
-      ~metrics:!metrics_acc ~wire:!wire_acc ~cluster:!cluster_acc ~recovery:!recovery_acc
-      ~lint:(lint_summary ()) ~fuzz:!fuzz_acc ~rediscovery:!fuzz_rediscovery ~rsm:!rsm_acc
-      ~rsm_gate:!rsm_gate_acc !scaling_acc;
+    write_json path ~cluster:!cluster_acc ~rsm:!rsm_acc ~rsm_gate:!rsm_gate_acc;
     Printf.printf "\n(throughput written to %s)\n" path
   end
 
-(* ------------------------------------------------------------------ *)
-(* Ablations: design choices DESIGN.md calls out.                       *)
-(* ------------------------------------------------------------------ *)
-
-let ablation () =
-  let seed = root_seed () in
-  section "Ablations (n=4, t=1, mixed inputs, fair lockstep, 2000 runs)";
-  let module A = Bca_experiments.Ablation in
-  let opt_on, opt_off = A.ev_optimizations ~runs:2000 ~seed:(Int64.add seed 9L) in
-  let plain, graded = A.graded_vs_plain ~runs:2000 ~seed:(Int64.add seed 10L) in
-  let tail = A.termination_layer ~runs:2000 ~seed:(Int64.add seed 11L) in
-  Tablefmt.print
-    ~header:[ "ablation"; "variant A"; "variant B"; "delta" ]
-    [ [ "Appendix G.1 optimizations";
-        "on: " ^ fmt_mean opt_on;
-        "off: " ^ fmt_mean opt_off;
-        Printf.sprintf "%.2f broadcasts saved" (opt_off.Summary.mean -. opt_on.Summary.mean) ];
-      [ "grading (GBCA vs BCA, strong coin)";
-        "plain: " ^ fmt_mean plain;
-        "graded: " ^ fmt_mean graded;
-        Printf.sprintf
-          "%+.2f on fair runs (grade 2 commits coin-free; reversed under the adversary)"
-          (graded.Summary.mean -. plain.Summary.mean) ];
-      [ "termination layer tail"; "-"; "-";
-        Printf.sprintf "%s broadcasts from first commit to global termination"
-          (fmt_mean tail) ] ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock benches: one Test per table/experiment family.   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  section "Wall-clock micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let run_acs () =
-    let cfg = Types.cfg ~n:4 ~t:1 in
-    let params = { Bca_rsm.Acs.cfg; coin_seed = 7L } in
-    let exec =
-      Bca_netsim.Async_exec.create ~n:4 ~make:(fun pid ->
-          let t, init = Bca_rsm.Acs.create params ~me:pid ~proposal:"tx" in
-          (Bca_rsm.Acs.node t, List.map (fun m -> Bca_netsim.Node.Broadcast m) init))
-    in
-    let rng = Bca_util.Rng.create 3L in
-    ignore
-      (Bca_netsim.Async_exec.run exec (Bca_netsim.Async_exec.random_scheduler rng)
-        : Bca_netsim.Async_exec.outcome)
-  in
-  let tests =
-    [ Test.make ~name:"table1.strong (one adversarial run)"
-        (Staged.stage (fun () -> ignore (Table1.strong ~runs:1 ~seed:1L : Summary.t)));
-      Test.make ~name:"table1.weak e=1/4 (one adversarial run)"
-        (Staged.stage (fun () -> ignore (Table1.weak ~eps:0.25 ~runs:1 ~seed:2L : Summary.t)));
-      Test.make ~name:"table2.strong_t1 (one adversarial run)"
-        (Staged.stage (fun () -> ignore (Table2.strong_t1 ~runs:1 ~seed:3L : Summary.t)));
-      Test.make ~name:"table2.strong_2t1 (one adversarial run)"
-        (Staged.stage (fun () -> ignore (Table2.strong_2t1 ~runs:1 ~seed:4L : Summary.t)));
-      Test.make ~name:"table2.tsig (one adversarial run)"
-        (Staged.stage (fun () -> ignore (Table2.tsig ~runs:1 ~seed:5L : Summary.t)));
-      Test.make ~name:"attack.cz (5 rounds)"
-        (Staged.stage (fun () ->
-             ignore (Cz_attack.run ~degree:`T ~rounds:5 ~seed:6L : Cz_attack.result)));
-      Test.make ~name:"acs n=4 (one honest run)" (Staged.stage run_acs) ]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg_b = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg_b [ instance ] test in
-      let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-      let estimates = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-45s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "%-45s (no estimate)\n" name)
-        estimates)
-    tests
-
 let usage () =
   Printf.eprintf
-    "usage: main.exe [table1|table2|attack|scaling|chaos|wire|cluster|recovery|rsm|fuzz|ablation|bechamel|all]\n\
-    \       [--runs K] [--seed S] [--json PATH] [--metrics] [--trace PATH] [--floor DPS]\n";
+    "usage: main.exe [cluster|rsm|all] [--runs K] [--seed S] [--json PATH] [--floor DPS]\n";
   exit 1
 
 let parse_args () =
@@ -1463,12 +445,6 @@ let parse_args () =
     | [] -> ()
     | "--json" :: path :: rest ->
       opt_json := Some path;
-      go rest
-    | "--metrics" :: rest ->
-      opt_metrics := true;
-      go rest
-    | "--trace" :: path :: rest ->
-      opt_trace := Some path;
       go rest
     | "--runs" :: k :: rest ->
       (match int_of_string_opt k with
@@ -1491,7 +467,7 @@ let parse_args () =
         Printf.eprintf "--floor expects a positive number (decisions/sec), got %S\n" f;
         exit 1);
       go rest
-    | [ ("--json" | "--runs" | "--seed" | "--trace" | "--floor") ] -> usage ()
+    | [ ("--json" | "--runs" | "--seed" | "--floor") ] -> usage ()
     | arg :: _ when String.length arg >= 2 && String.sub arg 0 2 = "--" ->
       Printf.eprintf "unknown flag %S\n" arg;
       usage ()
@@ -1506,7 +482,7 @@ let parse_args () =
 
 (* Run one section; on any exception print the reproducing seed (the whole
    harness is a deterministic function of it) and keep going so the other
-   sections still report, then fail the process at the end. *)
+   section still reports, then fail the process at the end. *)
 let run_section name f =
   try f ()
   with exn ->
@@ -1518,40 +494,14 @@ let run_section name f =
       (match !opt_runs with Some r -> Printf.sprintf " --runs %d" r | None -> "")
 
 let () =
-  let which = parse_args () in
-  (match which with
-  | "table1" -> run_section "table1" table1
-  | "table2" -> run_section "table2" table2
-  | "attack" -> run_section "attack" attack
-  | "scaling" -> run_section "scaling" scaling
-  | "chaos" -> run_section "chaos" chaos
-  | "wire" -> run_section "wire" wire
+  (match parse_args () with
   | "cluster" -> run_section "cluster" cluster_bench
-  | "recovery" -> run_section "recovery" recovery_bench
   | "rsm" -> run_section "rsm" rsm_bench
-  | "fuzz" -> run_section "fuzz" fuzz_bench
-  | "ablation" -> run_section "ablation" ablation
-  | "bechamel" -> run_section "bechamel" bechamel
   | "all" ->
-    run_section "table1" table1;
-    run_section "table2" table2;
-    run_section "attack" attack;
-    run_section "scaling" scaling;
-    run_section "chaos" chaos;
-    run_section "wire" wire;
     run_section "cluster" cluster_bench;
-    run_section "recovery" recovery_bench;
-    run_section "rsm" rsm_bench;
-    run_section "fuzz" fuzz_bench;
-    run_section "ablation" ablation;
-    run_section "bechamel" bechamel
+    run_section "rsm" rsm_bench
   | other ->
-    Printf.eprintf
-      "unknown section %S \
-       (table1|table2|attack|scaling|chaos|wire|cluster|recovery|rsm|fuzz|ablation|bechamel|all)\n"
-      other;
+    Printf.eprintf "unknown section %S (cluster|rsm|all)\n" other;
     usage ());
-  if !opt_metrics then run_section "metrics" metrics;
-  (match !opt_trace with Some path -> run_section "trace" (fun () -> trace_capture path) | None -> ());
   flush_json ();
-  if !chaos_failed || !section_failed then exit 1
+  if !section_failed then exit 1

@@ -2,7 +2,7 @@
 
      bca run     - run one binary agreement over a simulated cluster
      bca cluster - run one binary agreement as n real processes over sockets
-     bca tables  - print the Table 1 / Table 2 reproductions
+     bca tables  - print Tables 1 and 2, message complexity, ablations, wire cost
      bca attack  - replay the Appendix A adaptive liveness attacks
      bca acs     - run the HoneyBadger-style common-subset demo
      bca lint    - static determinism / protocol-invariant checks over the sources
@@ -30,6 +30,8 @@ let seed_arg =
 (* ------------------------------------------------------------------ *)
 
 let spec_of_string s eps = Cluster.parse_stack ~eps s
+
+let is_byz = function Aba.Crash_strong | Aba.Crash_weak _ | Aba.Crash_local -> false | _ -> true
 
 (* The same execution [Aba.run ~seed] performs (same RNG stream, so same
    delivery schedule and results), but with the runtime invariant monitor
@@ -111,7 +113,7 @@ let run_cmd =
       exit 1
     | Ok spec ->
       let n = String.length inputs in
-      let byz = match spec with Aba.Crash_strong | Aba.Crash_weak _ | Aba.Crash_local -> false | _ -> true in
+      let byz = is_byz spec in
       let t =
         match t_opt with Some t -> t | None -> if byz then (n - 1) / 3 else (n - 1) / 2
       in
@@ -271,9 +273,7 @@ let cluster_cmd =
       exit 1
     | Ok spec ->
       let n = String.length inputs in
-      let byz =
-        match spec with Aba.Crash_strong | Aba.Crash_weak _ | Aba.Crash_local -> false | _ -> true
-      in
+      let byz = is_byz spec in
       let t =
         match t_opt with Some t -> t | None -> if byz then (n - 1) / 3 else (n - 1) / 2
       in
@@ -527,62 +527,265 @@ let loadgen_cmd =
 (* bca tables                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper's results share one root seed; every cell derives its own
+   seed from it by a fixed offset, so the printed numbers are a function of
+   (--seed, --runs) alone and EXPERIMENTS.md's reference output replays
+   byte for byte. *)
+let results_seed_arg =
+  Arg.(
+    value & opt int64 20260706L
+    & info [ "seed" ] ~docv:"SEED" ~doc:"Root seed; every cell derives its own from it.")
+
+let fmt_mean s = Printf.sprintf "%.2f ± %.2f" s.Summary.mean s.Summary.ci95
+
+let section title =
+  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+let mixed_inputs n = Array.init n (fun i -> if i mod 2 = 0 then Value.V0 else Value.V1)
+
+let table1 ~runs ~seed =
+  let module T1 = Bca_experiments.Table1 in
+  section "Table 1 - crash faults (n=5, t=2): expected broadcasts to termination";
+  let strong = T1.strong ~runs ~seed in
+  let weak eps = T1.weak ~eps ~runs ~seed:(Int64.add seed 1L) in
+  let w2 = weak 0.5 and w4 = weak 0.25 and w8 = weak 0.125 in
+  Bca_util.Tablefmt.print
+    ~header:[ "cell"; "Aguilera-Toueg"; "paper (ours)"; "measured" ]
+    [ [ "strong coin"; "-"; "7"; fmt_mean strong ];
+      [ "weak coin e=1/2"; "-"; "3/e+4 = 10"; fmt_mean w2 ];
+      [ "weak coin e=1/4"; "-"; "3/e+4 = 16"; fmt_mean w4 ];
+      [ "weak coin e=1/8"; "-"; "3/e+4 = 28"; fmt_mean w8 ] ];
+  print_newline ();
+  print_endline "Distribution of the strong-coin cell (geometric coin-retry mixture):";
+  Format.printf "%a" Bca_util.Histogram.pp
+    (Bca_util.Histogram.of_floats (T1.strong_raw ~runs:4000 ~seed));
+  print_newline ();
+  print_endline "n-independence of the constant-round cells:";
+  Bca_util.Tablefmt.print
+    ~header:[ "n"; "t"; "strong (paper 7) | weak e=1/4 (paper 16)" ]
+    (List.map
+       (fun n ->
+         [ string_of_int n; string_of_int ((n - 1) / 2);
+           fmt_mean (T1.strong_n ~n ~runs:800 ~seed:(Int64.add seed (Int64.of_int (12 + n))))
+           ^ " | weak e=1/4: "
+           ^ fmt_mean
+               (T1.weak_n ~n ~eps:0.25 ~runs:800 ~seed:(Int64.add seed (Int64.of_int (20 + n))))
+         ])
+       [ 5; 9; 13 ]);
+  print_newline ();
+  print_endline "Local coin (expected rounds to termination, worst-case adversary):";
+  Bca_util.Tablefmt.print
+    ~header:
+      [ "n"; "Ben-Or bound (A-T)"; "Ben-Or measured"; "ours bound (paper)"; "ours measured" ]
+    (List.map
+       (fun n ->
+         let ours = T1.local_rounds ~n ~runs:600 ~seed:(Int64.add seed 2L) in
+         let benor = T1.benor_rounds ~n ~runs:600 ~seed:(Int64.add seed 3L) in
+         [ string_of_int n;
+           Printf.sprintf "O(2^%d) = %.0f" (2 * n) (2.0 ** float_of_int (2 * n));
+           fmt_mean benor;
+           Printf.sprintf "O(2^%d) = %.0f" n (2.0 ** float_of_int n);
+           fmt_mean ours ])
+       [ 3; 5; 7 ]);
+  print_endline
+    "(Aguilera-Toueg's O(2^2n) is an upper bound; the strongest adversary\n\
+     implemented here extracts ~2^(n-1) rounds from Ben-Or.  The paper's\n\
+     improvement is the proven guarantee: O(2^n) with the same adversary\n\
+     class.  See EXPERIMENTS.md.)"
+
+let table2 ~runs ~seed =
+  let module T2 = Bca_experiments.Table2 in
+  section "Table 2 - Byzantine faults (n=4, t=1): expected broadcasts to termination";
+  let s1 = T2.strong_t1 ~runs ~seed:(Int64.add seed 4L) in
+  let s2 = T2.strong_2t1 ~runs ~seed:(Int64.add seed 5L) in
+  let ts = T2.tsig ~runs ~seed:(Int64.add seed 6L) in
+  let weak eps = T2.weak_t1 ~eps ~runs:2000 ~seed:(Int64.add seed 7L) in
+  let w2 = weak 0.5 and w4 = weak 0.25 in
+  Bca_util.Tablefmt.print
+    ~header:[ "cell"; "[28] MMR15"; "[9] CZ"; "[11] Crain"; "paper (ours)"; "measured" ]
+    [ [ "strong t+1"; "-"; "-"; "-"; "17 (crit. path 15)"; fmt_mean s1 ];
+      [ "strong 2t+1"; "-"; "15"; "13"; "13"; fmt_mean s2 ];
+      [ "weak t+1, e=1/2"; "12/e+9 = 33"; "-"; "6/e+6 = 18"; "6/e+6 = 18"; fmt_mean w2 ];
+      [ "weak t+1, e=1/4"; "12/e+9 = 57"; "-"; "6/e+6 = 30"; "6/e+6 = 30"; fmt_mean w4 ];
+      [ "strong 2t+1 + tsig"; "-"; "-"; "-"; "9"; fmt_mean ts ] ];
+  print_newline ();
+  print_endline "n-independence of the strong t+1 cell (t Byzantine parties):";
+  Bca_util.Tablefmt.print
+    ~header:[ "n"; "t"; "measured broadcasts" ]
+    (List.map
+       (fun n ->
+         [ string_of_int n; string_of_int ((n - 1) / 3);
+           fmt_mean (T2.strong_t1_n ~n ~runs:800 ~seed:(Int64.add seed (Int64.of_int (40 + n))))
+         ])
+       [ 4; 7; 10 ]);
+  print_endline
+    "(The paper charges 4 broadcasts to every plain BCA-Byz round; rounds\n\
+     with unanimous inputs carry no amplification traffic, so the measured\n\
+     critical path of the 17-cell is 15.  [28]/[9]/[11] columns are the\n\
+     published figures the paper compares against.)"
+
+(* Mean messages to global termination over 30 random-schedule runs per
+   point: messages / n^2 staying flat is the O(n^2) claim. *)
+let message_complexity ~seed =
+  let runs = 30 in
+  section "Message-complexity scaling (random schedule, messages to global termination)";
+  let row (name, spec, n, t) =
+    let cfg = Types.cfg ~n ~t in
+    let deliveries = ref 0 in
+    for k = 0 to runs - 1 do
+      match
+        Aba.run ~seed:(Int64.add seed (Int64.of_int (100 + k))) spec ~cfg ~inputs:(mixed_inputs n)
+      with
+      | Ok r -> deliveries := !deliveries + r.Aba.deliveries
+      | Error _ -> ()
+    done;
+    let mean = float_of_int !deliveries /. float_of_int runs in
+    [ name; string_of_int n; Printf.sprintf "%.0f" mean;
+      Printf.sprintf "%.1f" (mean /. float_of_int (n * n)) ]
+  in
+  Bca_util.Tablefmt.print
+    ~header:[ "protocol"; "n"; "messages (mean)"; "messages / n^2" ]
+    (List.map row
+       (List.map (fun (n, t) -> ("ABA (byz/strong)", Aba.Byz_strong, n, t))
+          [ (4, 1); (7, 2); (10, 3); (13, 4) ]
+       @ List.map (fun (n, t) -> ("ACA (crash/strong)", Aba.Crash_strong, n, t))
+           [ (5, 2); (9, 4); (13, 6) ]));
+  print_endline
+    "(messages / n^2 stays flat: the O(n^2) message complexity the paper\n\
+     claims as asymptotically optimal [16])"
+
+let ablation ~seed =
+  let module A = Bca_experiments.Ablation in
+  section "Ablations (n=4, t=1, mixed inputs, fair lockstep, 2000 runs)";
+  let opt_on, opt_off = A.ev_optimizations ~runs:2000 ~seed:(Int64.add seed 9L) in
+  let plain, graded = A.graded_vs_plain ~runs:2000 ~seed:(Int64.add seed 10L) in
+  let tail = A.termination_layer ~runs:2000 ~seed:(Int64.add seed 11L) in
+  Bca_util.Tablefmt.print
+    ~header:[ "ablation"; "variant A"; "variant B"; "delta" ]
+    [ [ "Appendix G.1 optimizations";
+        "on: " ^ fmt_mean opt_on;
+        "off: " ^ fmt_mean opt_off;
+        Printf.sprintf "%.2f broadcasts saved" (opt_off.Summary.mean -. opt_on.Summary.mean) ];
+      [ "grading (GBCA vs BCA, strong coin)";
+        "plain: " ^ fmt_mean plain;
+        "graded: " ^ fmt_mean graded;
+        Printf.sprintf
+          "%+.2f on fair runs (grade 2 commits coin-free; reversed under the adversary)"
+          (graded.Summary.mean -. plain.Summary.mean) ];
+      [ "termination layer tail"; "-"; "-";
+        Printf.sprintf "%s broadcasts from first commit to global termination"
+          (fmt_mean tail) ] ]
+
+(* On-wire traffic per decision, every hop through the frame codec: the
+   paper's communication-complexity unit, measured instead of counted. *)
+let wire_cost ~seed =
+  let runs = 25 in
+  section
+    (Printf.sprintf
+       "Wire cost - loopback cluster, every hop through the codec (%d decisions per stack)" runs);
+  let row i (name, spec) =
+    let byz = is_byz spec in
+    let n = if byz then 4 else 5 in
+    let cfg = Types.cfg ~n ~t:(if byz then (n - 1) / 3 else (n - 1) / 2) in
+    let frames = ref 0 and bytes = ref 0 and words = ref 0 in
+    for k = 0 to runs - 1 do
+      match
+        Cluster.run_loopback
+          ~seed:(Int64.add seed (Int64.of_int ((1000 * i) + k)))
+          spec ~cfg ~inputs:(mixed_inputs n)
+      with
+      | Ok (_, st) ->
+        frames := !frames + st.Cluster.frames;
+        bytes := !bytes + st.Cluster.bytes;
+        words := !words + st.Cluster.words
+      | Error e -> failwith (Printf.sprintf "%s: loopback run %d failed: %s" name k e)
+    done;
+    let per d = Printf.sprintf "%.1f" (float_of_int !d /. float_of_int runs) in
+    [ name; string_of_int n; string_of_int runs; per frames; per bytes; per words ]
+  in
+  Bca_util.Tablefmt.print
+    ~header:
+      [ "stack"; "n"; "decisions"; "frames/decision"; "bytes/decision"; "words/decision" ]
+    (List.mapi row (Cluster.all_stacks ()));
+  print_endline
+    "(on-wire bytes include the 14-byte frame header; words = ceil(bytes/8),\n\
+     the unit the paper's communication-complexity claims use)"
+
 let tables_cmd =
   let runs =
-    Arg.(value & opt int 1000 & info [ "runs" ] ~doc:"Monte-Carlo runs per cell.")
+    Arg.(
+      value & opt int 4000
+      & info [ "runs" ]
+          ~doc:"Monte-Carlo runs per headline cell (sub-tables use fixed run counts).")
   in
   let action runs seed =
-    let fmt s = Printf.sprintf "%.2f ± %.2f" s.Summary.mean s.Summary.ci95 in
-    let module T1 = Bca_experiments.Table1 in
-    let module T2 = Bca_experiments.Table2 in
-    Bca_util.Tablefmt.print
-      ~header:[ "table"; "cell"; "paper"; "measured" ]
-      [ [ "1"; "crash, strong coin"; "7"; fmt (T1.strong ~runs ~seed) ];
-        [ "1"; "crash, weak e=1/4"; "16"; fmt (T1.weak ~eps:0.25 ~runs ~seed) ];
-        [ "2"; "byz, strong t+1"; "17 (cp 15)"; fmt (T2.strong_t1 ~runs ~seed) ];
-        [ "2"; "byz, strong 2t+1"; "13"; fmt (T2.strong_2t1 ~runs ~seed) ];
-        [ "2"; "byz, weak e=1/4"; "30"; fmt (T2.weak_t1 ~eps:0.25 ~runs ~seed) ];
-        [ "2"; "byz, tsig"; "9"; fmt (T2.tsig ~runs ~seed) ] ]
+    if runs < 1 then begin
+      Printf.eprintf "--runs expects a positive integer, got %d\n" runs;
+      exit 1
+    end;
+    table1 ~runs ~seed;
+    table2 ~runs ~seed;
+    message_complexity ~seed;
+    ablation ~seed;
+    wire_cost ~seed
   in
   Cmd.v
-    (Cmd.info "tables" ~doc:"Reproduce the paper's Table 1 and Table 2 cells.")
-    Term.(const action $ runs $ seed_arg)
+    (Cmd.info "tables"
+       ~doc:
+         "Reproduce the paper's Tables 1 and 2 with their sub-tables, the message-complexity \
+          scaling, the ablations and the per-decision wire cost.")
+    Term.(const action $ runs $ results_seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bca attack                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let attack_cmd =
-  let target =
-    Arg.(value & opt string "cz" & info [ "target" ] ~doc:"cz (Cachin-Zanolini) or mmr.")
+  let rounds =
+    Arg.(value & opt int 25 & info [ "rounds" ] ~doc:"Attack rounds per scenario.")
   in
-  let degree =
-    Arg.(
-      value & opt string "t"
-      & info [ "coin" ] ~doc:"Coin unpredictability: t (attack succeeds) or 2t (fails).")
-  in
-  let rounds = Arg.(value & opt int 30 & info [ "rounds" ] ~doc:"Attack rounds.") in
-  let action target degree rounds seed =
-    let deg = if degree = "2t" then `TwoT else `T in
-    let first_commit, agreement, peeks =
-      match target with
-      | "mmr" ->
-        let r = Bca_adversary.Mmr_attack.run ~degree:deg ~rounds ~seed in
-        Bca_adversary.Mmr_attack.
-          (r.first_commit_round, r.agreement_ok, r.peeks_denied)
-      | _ ->
-        let r = Bca_adversary.Cz_attack.run ~degree:deg ~rounds ~seed in
-        Bca_adversary.Cz_attack.(r.first_commit_round, r.agreement_ok, r.peeks_denied)
+  let action rounds seed =
+    let module Cz = Bca_adversary.Cz_attack in
+    let module Mmr = Bca_adversary.Mmr_attack in
+    section
+      (Printf.sprintf "Appendix A - adaptive liveness attacks (n=4, t=1, %d rounds per run)"
+         rounds);
+    let row name first_commit agreement_ok peeks_denied =
+      [ name;
+        (match first_commit with
+        | None -> "NO COMMIT (liveness violated)"
+        | Some k -> Printf.sprintf "commit in round %d" k);
+        string_of_bool agreement_ok;
+        string_of_int peeks_denied ]
     in
-    Format.printf "target: %s, coin degree: %s@." target degree;
-    (match first_commit with
-    | None -> Format.printf "NO COMMIT in %d rounds: liveness violated@." rounds
-    | Some r -> Format.printf "first commitment in round %d: attack failed@." r);
-    Format.printf "safety kept: %b; coin peeks denied: %d@." agreement peeks
+    let cz name degree =
+      let r = Cz.run ~degree ~rounds ~seed in
+      row name r.Cz.first_commit_round r.Cz.agreement_ok r.Cz.peeks_denied
+    in
+    let mmr name degree =
+      let r = Mmr.run ~degree ~rounds ~seed in
+      row name r.Mmr.first_commit_round r.Mmr.agreement_ok r.Mmr.peeks_denied
+    in
+    Bca_util.Tablefmt.print
+      ~header:[ "protocol / coin"; "outcome"; "safety kept"; "coin peeks denied" ]
+      [ cz "Cachin-Zanolini, t-unpredictable" `T;
+        cz "Cachin-Zanolini, 2t-unpredictable" `TwoT;
+        mmr "MMR PODC'14, t-unpredictable" `T;
+        mmr "MMR PODC'14, 2t-unpredictable" `TwoT ];
+    let ours = Bca_experiments.Table2.strong_t1 ~runs:500 ~seed:(Int64.add seed 8L) in
+    Printf.printf
+      "\n\
+       Contrast - AA-1/2 over BCA-Byz under its worst-case adaptive adversary\n\
+       with a t-unpredictable coin: terminates in %s broadcasts (binding fixes\n\
+       the surviving value before any coin access).\n"
+      (fmt_mean ours)
   in
   Cmd.v
-    (Cmd.info "attack" ~doc:"Replay the Appendix A adaptive liveness attack.")
-    Term.(const action $ target $ degree $ rounds $ seed_arg)
+    (Cmd.info "attack"
+       ~doc:
+         "Replay the Appendix A adaptive liveness attacks on Cachin-Zanolini and MMR'14 under \
+          t- and 2t-unpredictable coins, against AA-1/2 over BCA-Byz.")
+    Term.(const action $ rounds $ results_seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bca acs                                                              *)

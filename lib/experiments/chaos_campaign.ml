@@ -56,15 +56,8 @@ type stack_report = {
   runs : int;
   committed : int;
   stalled : int;
-  total_deliveries : int;
   failures : run_report list;
 }
-
-let pp_stack_report ppf s =
-  Format.fprintf ppf "@[<v>%-22s %d runs: %d committed, %d stalled, %d deliveries, %d safety failure(s)"
-    s.stack s.runs s.committed s.stalled s.total_deliveries (List.length s.failures);
-  List.iter (fun r -> Format.fprintf ppf "@,  @[<v>%a@]" pp_run_report r) s.failures;
-  Format.fprintf ppf "@]"
 
 let six_stacks =
   let crash = Types.cfg ~n:5 ~t:2 in
@@ -149,20 +142,18 @@ let run_stack ?domains ?(kills = 0) ~name ~spec ~cfg ~runs ~seed () =
   let reports =
     Mc.map ?domains ~runs ~seed (fun ~seed -> run_once ~kills ~spec ~cfg ~seed ())
   in
-  let committed = ref 0 and stalled = ref 0 and total = ref 0 and failures = ref [] in
+  let committed = ref 0 and stalled = ref 0 and failures = ref [] in
   Array.iter
     (fun r ->
       (match r.outcome with
       | `Committed -> incr committed
       | `Stalled -> incr stalled);
-      total := !total + r.deliveries;
       if safety_violations r <> [] then failures := r :: !failures)
     reports;
   { stack = name;
     runs;
     committed = !committed;
     stalled = !stalled;
-    total_deliveries = !total;
     failures = List.rev !failures }
 
 let run_all ?domains ?(kills = 0) ~runs ~seed () =

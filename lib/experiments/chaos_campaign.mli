@@ -37,11 +37,8 @@ type stack_report = {
   runs : int;
   committed : int;
   stalled : int;
-  total_deliveries : int;
   failures : run_report list;  (** runs with at least one safety violation *)
 }
-
-val pp_stack_report : Format.formatter -> stack_report -> unit
 
 val six_stacks : (string * Bca_core.Aba.spec * Bca_core.Types.cfg) list
 (** The paper's six end-to-end constructions at their smallest resilient

@@ -78,7 +78,7 @@ let to_json t =
       if not !first then Buffer.add_char buf ',';
       first := false;
       Buffer.add_char buf '"';
-      Event.json_escape buf key;
+      Bca_util.Json.escape buf key;
       Buffer.add_string buf "\":";
       Buffer.add_string buf (string_of_int c))
     t;

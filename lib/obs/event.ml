@@ -59,25 +59,12 @@ let pp_timed ppf { ts; ev } = Format.fprintf ppf "[%d] %a" ts pp ev
 
 (* ---- JSONL encoding ------------------------------------------------ *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let to_json { ts; ev } =
   let buf = Buffer.create 96 in
   let fint k v = Buffer.add_string buf (Printf.sprintf ",%S:%d" k v) in
   let fstr k v =
     Buffer.add_string buf (Printf.sprintf ",%S:\"" k);
-    json_escape buf v;
+    Bca_util.Json.escape buf v;
     Buffer.add_char buf '"'
   in
   Buffer.add_string buf (Printf.sprintf "{\"ts\":%d,\"type\":" ts);

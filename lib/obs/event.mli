@@ -84,13 +84,6 @@ val equal_timed : timed -> timed -> bool
 val pp : Format.formatter -> t -> unit
 val pp_timed : Format.formatter -> timed -> unit
 
-val json_escape : Buffer.t -> string -> unit
-(** Append [s] to the buffer as the body of a JSON string literal,
-    without the quotes: the quote and backslash are backslash-escaped,
-    newline, tab and carriage return take their short escapes, and the
-    other control characters become [\u00XX].  The one JSON string
-    escaper of the observability layer. *)
-
 val to_json : timed -> string
 (** One-line JSON object (no trailing newline), e.g.
     [{"ts":12,"type":"deliver","eid":40,"src":1,"dst":2,"depth":3}]. *)

@@ -305,7 +305,7 @@ let to_json t =
       if not !first then Buffer.add_char buf ',';
       first := false;
       Buffer.add_char buf '"';
-      Event.json_escape buf p;
+      Bca_util.Json.escape buf p;
       Buffer.add_string buf (Printf.sprintf "\":%d" c))
     t.phases;
   Buffer.add_string buf "},";

@@ -459,7 +459,12 @@ let ctrl_recv k (v : Wire.view) =
     net.Transport.stats.drops <- net.Transport.stats.drops + 1
   else begin
     let op = Char.code v.Wire.v_src.[v.Wire.v_pos] in
-    if op = ctrl_hello then k.k_on_hello p
+    if op = ctrl_hello then begin
+      (* a HELLO comes from a restarted process, so our connection to its
+         predecessor is stale: reconnect before answering *)
+      net.Transport.reset ~dst:p;
+      k.k_on_hello p
+    end
     else if op = ctrl_bye then begin
       if not k.k_byes.(p) then begin
         k.k_byes.(p) <- true;

@@ -27,6 +27,7 @@ type t = {
   recv_view : timeout_s:float -> Wire.view option;
   flush : timeout_s:float -> bool;
   close : unit -> unit;
+  reset : dst:int -> unit;
   stats : stats;
 }
 
@@ -110,6 +111,7 @@ module Loopback = struct
       recv_view = (fun ~timeout_s -> Option.map Wire.view_of_frame (recv ~timeout_s));
       flush = (fun ~timeout_s:_ -> true);
       close = (fun () -> ());
+      reset = (fun ~dst:_ -> ());
       stats = st }
 end
 
@@ -575,7 +577,19 @@ module Socket = struct
         | None -> ()
       end
     in
-    { me; n; kind = kind_of_addr addr; send; recv; recv_view; flush; close; stats = s.s_stats }
+    let reset ~dst =
+      let p = s.s_peers.(dst) in
+      match p.p_state with
+      | Connecting fd | Up fd ->
+        close_fd fd;
+        p.p_start <- p.p_start - p.p_head_sent;
+        p.p_head_sent <- 0;
+        p.p_state <- Idle;
+        p.p_next_attempt <- 0.;
+        trace s ~peer:dst ~op:"reset" ~bytes:0
+      | Idle | Dead -> ()
+    in
+    { me; n; kind = kind_of_addr addr; send; recv; recv_view; flush; close; reset; stats = s.s_stats }
 
   let unix_addrs ~dir ~n =
     Array.init n (fun pid -> Unix.ADDR_UNIX (Filename.concat dir (Printf.sprintf "node-%d.sock" pid)))

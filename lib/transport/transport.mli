@@ -77,6 +77,12 @@ type t = {
       (** Pump until every outbound queue is empty or dead, or the timeout
           elapses; [true] if everything was flushed. *)
   close : unit -> unit;
+  reset : dst:int -> unit;
+      (** Drop the outbound connection to [dst], if one is open; the next
+          send reconnects, resending a partly written frame whole.  For a
+          peer known to have restarted: over TCP, a write into the dead
+          process's old connection can succeed while its bytes are lost.
+          A no-op on the loopback hub. *)
   stats : stats;
 }
 

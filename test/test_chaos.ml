@@ -292,6 +292,20 @@ let test_campaign_all_stacks_safe () =
         (s.Campaign.committed + s.Campaign.stalled))
     reports
 
+(* The chaos gate: 100 plans per stack at root seed 42 (stack i at seed
+   42 + i), and not one safety violation.  Stalls are legal liveness
+   losses; any failure is reported with its reproducing seed. *)
+let test_chaos_gate () =
+  List.iter
+    (fun (s : Campaign.stack_report) ->
+      Alcotest.(check int) (s.Campaign.stack ^ ": 100 plans") 100 s.Campaign.runs;
+      match s.Campaign.failures with
+      | [] -> ()
+      | worst :: _ ->
+        Alcotest.failf "%s: %d safety failure(s) in 100 plans; first:@.%a" s.Campaign.stack
+          (List.length s.Campaign.failures) Campaign.pp_run_report worst)
+    (Campaign.run_all ~runs:100 ~seed:42L ())
+
 let test_campaign_deterministic () =
   let a = Campaign.run_once ~spec:Aba.Byz_strong ~cfg:(Types.cfg ~n:4 ~t:1) ~seed:123L () in
   let b = Campaign.run_once ~spec:Aba.Byz_strong ~cfg:(Types.cfg ~n:4 ~t:1) ~seed:123L () in
@@ -339,4 +353,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
           Alcotest.test_case "parallel == sequential" `Quick
             test_campaign_parallel_matches_sequential;
-          Alcotest.test_case "broken stack caught" `Quick test_broken_stack_caught ] ) ]
+          Alcotest.test_case "broken stack caught" `Quick test_broken_stack_caught;
+          Alcotest.test_case "gate: 100 plans per stack at seed 42, zero safety failures" `Quick
+            test_chaos_gate ] ) ]

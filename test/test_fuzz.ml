@@ -217,6 +217,34 @@ let test_fixed_cz_survives () =
   let c = Fuzz.run ~mode:Fuzz.Guided ~target:Fuzz.cz ~trials:200 ~seed:0x42L () in
   Alcotest.(check bool) "no violation on the fixed stack" true (c.Fuzz.c_found = None)
 
+(* ------------------------------------------------------------------ *)
+(* Gates: the real stacks survive a guided smoke, and guided search      *)
+(* rediscovers the AUX bug far faster than blind search                 *)
+(* ------------------------------------------------------------------ *)
+
+(* 64 guided trials per real stack, target i at seed 20260706 + 31 + i:
+   these stacks are believed correct, so any find is a regression. *)
+let test_smoke_six_stacks () =
+  List.iteri
+    (fun i (tg : Fuzz.target) ->
+      let c =
+        Fuzz.run ~mode:Fuzz.Guided ~target:tg ~trials:64
+          ~seed:(Int64.add 20260706L (Int64.of_int (31 + i)))
+          ()
+      in
+      match c.Fuzz.c_found with
+      | None -> ()
+      | Some f -> Alcotest.failf "%s: %a" tg.Fuzz.tg_name Fuzz.pp_found f)
+    Fuzz.six
+
+(* Trials-to-find the reintroduced AUX bug, median over 5 root seeds at
+   the pinned root 0x42: guided must find it within 500 trials and beat
+   the blind baseline by at least 10x. *)
+let test_rediscovery_gate () =
+  let r = Fuzz.rediscover ~seeds:5 ~cap:3_000 ~seed:0x42L () in
+  if r.Fuzz.r_speedup < 10.0 || r.Fuzz.r_guided_median > 500.0 then
+    Alcotest.failf "rediscovery gate (>= 10x, median <= 500) missed:@.%a" Fuzz.pp_rediscovery r
+
 let () =
   Alcotest.run "fuzz"
     [ ( "mutate",
@@ -245,4 +273,9 @@ let () =
         [ Alcotest.test_case "finds the reintroduced CZ AUX bug" `Quick
             test_finds_reintroduced_aux_bug;
           Alcotest.test_case "fixed CZ survives the same budget" `Quick
-            test_fixed_cz_survives ] ) ]
+            test_fixed_cz_survives ] );
+      ( "gate",
+        [ Alcotest.test_case "guided smoke on the six stacks finds nothing" `Quick
+            test_smoke_six_stacks;
+          Alcotest.test_case "rediscovery: >= 10x blind, guided median <= 500" `Quick
+            test_rediscovery_gate ] ) ]

@@ -299,6 +299,33 @@ let test_supervised_kill_recover_all_stacks () =
           (Array.length r.Cluster.c_rounds))
     (Cluster.all_stacks ())
 
+(* The recovery gate: 4 supervised byz-strong decisions per transport,
+   node 2 SIGKILLed at its commit on every 2nd decision; every decision
+   must succeed and every kill must be matched by a WAL recovery. *)
+let test_recovery_gate () =
+  Alcotest.(check bool) "bca_node built" true (Sys.file_exists node_exe);
+  let cfg = Types.cfg ~n:4 ~t:1 in
+  List.iter
+    (fun (transport, tname) ->
+      let kills = ref 0 and recoveries = ref 0 in
+      for k = 0 to 3 do
+        let kill_at = if k mod 2 = 0 then Some (2, "commit") else None in
+        if kill_at <> None then incr kills;
+        let wal_dir = temp_dir "bca-gate" in
+        match
+          Fun.protect ~finally:(fun () -> rm_rf wal_dir) (fun () ->
+              Cluster.spawn ~timeout_s:30. ~wal_dir ?kill_at ~node_exe ~cfg
+                ~seed:(Int64.add 20260706L (Int64.of_int (3000 + k)))
+                ~transport
+                (Cluster.Aba_one { spec = Aba.Byz_strong; inputs = mixed_inputs 4 }))
+        with
+        | Ok r -> recoveries := !recoveries + List.length r.Cluster.c_recoveries
+        | Error e -> Alcotest.failf "%s, decision %d: %s" tname k e
+      done;
+      if !recoveries < !kills then
+        Alcotest.failf "%s: %d kills but only %d WAL recoveries" tname !kills !recoveries)
+    [ (`Unix, "unix"); (`Tcp, "tcp") ]
+
 let () =
   Alcotest.run "recovery"
     [ ( "wal",
@@ -315,4 +342,6 @@ let () =
             test_kills_actually_fire ] );
       ( "cluster",
         [ Alcotest.test_case "SIGKILL at the commit, recover, decide" `Slow
-            test_supervised_kill_recover_all_stacks ] ) ]
+            test_supervised_kill_recover_all_stacks;
+          Alcotest.test_case "gate: kill every 2nd decision, every kill recovers" `Quick
+            test_recovery_gate ] ) ]

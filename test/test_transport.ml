@@ -384,6 +384,26 @@ let test_socket_dead_peer_revival () =
   let f = pump_until_recv a b ~what:"post-revival send" in
   Alcotest.(check string) "answer reaches the revived peer" "welcome back" f.W.body
 
+(* A restarted peer listens on a fresh socket; the connection to its dead
+   predecessor is stale.  Over TCP the first write into it still succeeds
+   and its bytes are lost, so a node answering a HELLO resets the
+   connection first: the frame sent after [reset] reaches the new peer. *)
+let test_socket_reset_reaches_restarted_peer () =
+  let addrs = Transport.Socket.tcp_addrs ~ports:(Transport.Socket.pick_tcp_ports ~n:2) in
+  let a = Transport.Socket.endpoint ~addrs ~me:0 () in
+  Fun.protect ~finally:(fun () -> a.Transport.close ()) @@ fun () ->
+  let b = Transport.Socket.endpoint ~addrs ~me:1 () in
+  a.Transport.send ~dst:1 (raw_frame ~sender:0 "before");
+  let f = pump_until_recv a b ~what:"first connection" in
+  Alcotest.(check string) "delivered over the first connection" "before" f.W.body;
+  b.Transport.close ();
+  let b2 = Transport.Socket.endpoint ~addrs ~me:1 () in
+  Fun.protect ~finally:(fun () -> b2.Transport.close ()) @@ fun () ->
+  a.Transport.reset ~dst:1;
+  a.Transport.send ~dst:1 (raw_frame ~sender:0 "after");
+  let f = pump_until_recv a b2 ~what:"after the reset" in
+  Alcotest.(check string) "delivered to the restarted peer" "after" f.W.body
+
 (* ------------------------------------------------------------------ *)
 (* The node report line                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -816,7 +836,9 @@ let () =
         [ Alcotest.test_case "backoff resets after a successful reconnect" `Quick
             test_socket_backoff_reset_on_reconnect;
           Alcotest.test_case "inbound frame revives a given-up peer" `Quick
-            test_socket_dead_peer_revival ] );
+            test_socket_dead_peer_revival;
+          Alcotest.test_case "reset reaches a restarted tcp peer" `Quick
+            test_socket_reset_reaches_restarted_peer ] );
       ( "report",
         [ Alcotest.test_case "every report kind round-trips" `Quick test_report_line_roundtrip;
           Alcotest.test_case "malformed and truncated lines are rejected" `Quick

@@ -344,6 +344,24 @@ let test_tablefmt_shape () =
        false
      with Invalid_argument _ -> true)
 
+(* The escaper's bytes are part of the WAL format (trace events embed
+   them), so every case is pinned. *)
+let test_json_escape () =
+  let esc s =
+    let buf = Buffer.create 16 in
+    Bca_util.Json.escape buf s;
+    Buffer.contents buf
+  in
+  List.iter
+    (fun (input, expected) -> Alcotest.(check string) (String.escaped input) expected (esc input))
+    [ ("\"", "\\\"");
+      ("\\", "\\\\");
+      ("\n", "\\n");
+      ("\t", "\\t");
+      ("\r", "\\r");
+      ("\x01", "\\u0001");
+      ("plain ASCII: a-z 0-9 {}[]:,/", "plain ASCII: a-z 0-9 {}[]:,/") ]
+
 let () =
   Alcotest.run "util"
     [ ( "rng",
@@ -376,4 +394,5 @@ let () =
           Alcotest.test_case "stddev" `Quick test_summary_stddev;
           Alcotest.test_case "within" `Quick test_summary_within ] );
       ("histogram", [ Alcotest.test_case "mode/percentile" `Quick test_histogram ]);
-      ("tablefmt", [ Alcotest.test_case "shape" `Quick test_tablefmt_shape ]) ]
+      ("tablefmt", [ Alcotest.test_case "shape" `Quick test_tablefmt_shape ]);
+      ("json", [ Alcotest.test_case "escape vectors" `Quick test_json_escape ]) ]

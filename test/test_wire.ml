@@ -775,6 +775,7 @@ let test_golden_batch () =
       recv_view = (fun ~timeout_s:_ -> None);
       flush = (fun ~timeout_s:_ -> true);
       close = (fun () -> ());
+      reset = (fun ~dst:_ -> ());
       stats = Transport.stats_zero () }
   in
   let bat = Batcher.create ~inner_codec_id:Wf.byz_strong.W.id net in
